@@ -19,9 +19,7 @@ from .groups import (
     aut_order,
     cl_corank_probability,
     cl_probability,
-    hom_count,
     p_groups_up_to,
-    sur_count,
     sur_count_cokernel,
 )
 from .snf import (
@@ -29,9 +27,7 @@ from .snf import (
     PGroupType,
     cokernel,
     rank_mod_p,
-    smith_normal_form,
     sylow,
-    sylow_mod_prime_power,
 )
 from .structured import (
     boundary_matrix,
@@ -69,7 +65,6 @@ from .moments import (
     expected_annihilated_via_kl,
     kl_curvature_check,
     kl_divergence,
-    m_matrix,
     order2_moment_floor,
     parity_closed_forms,
     surjection_moment_bruteforce,

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from .defect import bonferroni_lower, corank_tail_floor, isolated_double_probability, mc_corank_tail
-from .errors import InvalidInputError
+from .errors import DegenerateHostError, InvalidInputError, SizeLimitError
 from .experiment import (
     ExperimentConfig,
     build_report,
@@ -217,7 +217,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, SizeLimitError, DegenerateHostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

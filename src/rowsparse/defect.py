@@ -11,15 +11,14 @@ r simultaneous events is exact and index-free:
 with C(n) the Gram determinant of the (n, k) family.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
-from .errors import InvalidInputError, SizeLimitError
-from .intlinalg import int_det
+from . import sampling
+from .errors import InvalidInputError
 from .sampling import DEFAULT_CONFIG, _as_rng, sample_matrix
 from .snf import rank_mod_p
-from .structured import gram_determinant, row_vector
+from .structured import gram_determinant
 
 
 def column_is_isolated_double(subset, i):
@@ -94,16 +93,8 @@ def mc_corank_tail(n, k, r, trials, rng=None, config=DEFAULT_CONFIG):
 
 def subset_family_mass(n, k, predicate):
     """Exact probability mass of {Y : predicate(Y)} under the volume measure."""
-    total_rows = n**k
-    if math.comb(total_rows, n) > 10**6:
-        raise SizeLimitError("subset enumeration guard exceeded")
-    tuples = list(itertools.product(range(1, n + 1), repeat=k))
-    denom = gram_determinant(n, k)
-    mass = Fraction(0)
-    for combo in itertools.combinations(tuples, n):
-        if not predicate(combo):
-            continue
-        d = int_det([row_vector(b, n) for b in combo])
-        if d:
-            mass += Fraction(d * d, denom)
-    return mass
+    family = sampling.cached_family(sampling.BasisSumRows, n, k)
+    return sum(
+        (p for subset, p in sampling.enumerate_distribution(family) if predicate(subset)),
+        Fraction(0),
+    )

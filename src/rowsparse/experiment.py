@@ -8,16 +8,20 @@ reproducible trial-for-trial regardless of worker count.
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
 import platform
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
+from . import defect, intlinalg, moments, sampling, structured
 from .errors import DegenerateHostError, InvalidInputError
 from .groups import (
     FiniteAbelianGroup,
@@ -26,12 +30,7 @@ from .groups import (
     p_groups_up_to,
     sur_count_cokernel,
 )
-from .sampling import (
-    SamplerConfig,
-    get_basis_family,
-    get_boundary_family,
-    sample_volume,
-)
+from .sampling import BasisSumRows, BoundaryRows, SamplerConfig, cached_family, sample_volume
 from .snf import cokernel, rank_mod_p, sylow
 
 WORKERS_ENV = "ROWSPARSE_WORKERS"
@@ -129,8 +128,8 @@ class TrialRecord:
 
 def _trial_family(cfg):
     if cfg.model == "bn_matrix":
-        return get_basis_family(cfg.n, cfg.resolve_k())
-    return get_boundary_family(cfg.n, 2)
+        return cached_family(BasisSumRows, cfg.n, cfg.resolve_k())
+    return cached_family(BoundaryRows, cfg.n, 2)
 
 
 def run_trial(cfg, trial_id):
@@ -176,13 +175,25 @@ def _worker_run(args):
     return run_trial(cfg, trial_id)
 
 
+def worker_count():
+    """Worker processes from ROWSPARSE_WORKERS: 1 when unset, capped at the CPU count."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise InvalidInputError(f"{WORKERS_ENV} must be an integer, got {text!r}") from None
+    if workers < 1:
+        raise InvalidInputError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
+
+
 def run_campaign(cfg, out_dir=None, tv_prime=None, tv_cap=81, moment_groups=None):
     """Run all trials; optionally persist trials.jsonl, report.json, report.csv.
 
-    Returns (records, report). Worker count comes from the ROWSPARSE_WORKERS
-    environment variable (default 1); outputs are identical either way.
+    Returns (records, report). Worker count comes from worker_count(); outputs
+    are identical either way.
     """
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = worker_count()
     ids = list(range(cfg.trials))
     if workers > 1:
         cfg_dict = {
@@ -353,7 +364,141 @@ def load_trials(path):
     return records
 
 
-# -- verify suite -----------------------------------------------------------
+# -- exact identities ---------------------------------------------------------
+#
+# One registry serves `rowsparse verify` and the acceptance gate. Each check
+# takes `full` (the full level's larger grid), raises on a failed identity
+# and returns a detail line. Checks reach structured, sampling, moments,
+# defect and intlinalg through their modules at call time, so a wrapper
+# installed on a module attribute sees every call.
+
+
+def _gram_identity(full):
+    ns = range(1, 9 if full else 6)
+    ks = (3, 4, 5, 7) if full else (3, 4)
+    for n in ns:
+        for k in ks:
+            closed = structured.gram_closed_form(n, k)
+            summed = structured.gram_rowwise(n, k)
+            assert closed == summed, f"gram mismatch at {(n, k)}"
+            assert intlinalg.int_det(closed) == structured.gram_determinant(n, k), (
+                f"det mismatch at {(n, k)}"
+            )
+    return f"grid n<={max(ns)}, k in {ks}"
+
+
+def _hypertree_identity(full):
+    top = 8 if full else 6
+    for n in range(3, top):
+        for r in (1, 2):
+            if r <= n - 2:
+                lhs, rhs = structured.hypertree_identity(n, r)
+                assert lhs == rhs, f"hypertree identity fails at {(n, r)}: {lhs} != {rhs}"
+    return f"n < {top}, r in (1, 2)"
+
+
+def _sampler_vs_oracle(full):
+    fam = cached_family(BasisSumRows, 3, 3)
+    dist = dict(sampling.enumerate_distribution(fam))
+    assert sum(dist.values()) == 1
+    draws = 100_000 if full else 20_000
+    rng = np.random.default_rng(20240901)
+    cnt = Counter(sampling.sample_volume(fam, rng) for _ in range(draws))
+    assert all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset"
+    tv = 0.5 * sum(abs(cnt.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
+    # a perfect sampler's TV concentrates at sum(sqrt(p)) / sqrt(2 pi draws)
+    floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
+    assert tv <= 1.5 * floor + 0.01, f"TV {tv:.4f} above noise allowance {1.5*floor+0.01:.4f}"
+    return f"TV {tv:.4f} over {draws} draws (noise floor {floor:.4f})"
+
+
+def _moment_cross_method(full):
+    if full:
+        grid = [(divs, n, k) for divs in ((2,), (3,), (2, 2)) for n in range(1, 9)
+                for k in (3, 4, 5)]
+    else:
+        grid = (
+            [((2,), n, k) for n in (2, 4, 6, 8) for k in (3, 4, 5)]
+            + [((3,), n, 3) for n in (2, 3, 4)]
+        )
+    for divs, n, k in grid:
+        G = FiniteAbelianGroup(divs)
+        a = moments.surjection_moment_exact(G, n, k)
+        b = moments.surjection_moment_bruteforce(G, n, k)
+        assert a == b, f"moment mismatch at {(G.label(), n, k)}: {a} != {b}"
+    return f"{len(grid)} (G, n, k) cells"
+
+
+def _isolated_double_probability(full):
+    if full:
+        assert defect.isolated_double_probability(3, 3, 1) == Fraction(128, 729)
+    for r in (1, 2):
+        formula = defect.isolated_double_probability(3, 3, r)
+        cols = list(range(1, r + 1))
+        brute = defect.subset_family_mass(
+            3, 3, lambda K: all(defect.column_is_isolated_double(K, i) for i in cols)
+        )
+        assert formula == brute, f"column-event probability mismatch at r={r}"
+    return "n=3, r in (1, 2), exact"
+
+
+def _annihilation_normalization(full):
+    top = 100 if full else 50
+    G = FiniteAbelianGroup((2,))
+    for k in (3, 5):
+        for n in range(1, top + 1):
+            assert moments.annihilation_probability(moments.TypeVector(G, (n, 0), k)) == 1
+    return f"zero tuple pinned for n <= {top}, k in (3, 5)"
+
+
+def _kl_curvature(full):
+    combos = (
+        [((2,), 3), ((3,), 3), ((2, 2), 3), ((2,), 5), ((3,), 5), ((2, 2), 5)]
+        if full
+        else [((2,), 3), ((3,), 3)]
+    )
+    worst = 0.0
+    for divs, k in combos:
+        G = FiniteAbelianGroup(divs)
+        gnorm, hdev = moments.kl_curvature_check(G, k)
+        assert gnorm <= 1e-6, f"gradient {gnorm} too large for {divs}, k={k}"
+        assert hdev <= 1e-3 * G.order, f"hessian deviation {hdev} too large for {divs}"
+        worst = max(worst, gnorm, hdev)
+    return f"{len(combos)} (G, k) cells, worst deviation {worst:.2e}"
+
+
+def _annihilation_vs_subsets(full):
+    """The closed form P(A q = 0) against the subset mass of the q-sum-zero slice."""
+    k = 3
+    for divs in ((2,), (3,)):
+        G = FiniteAbelianGroup(divs)
+        g = G.order
+        for n in (1, 2, 3):
+            for q in itertools.product(range(g), repeat=n):
+                brute = defect.subset_family_mass(
+                    n, k, lambda Y: all(sum(q[x - 1] for x in b) % g == 0 for b in Y)
+                )
+                counts = [0] * g
+                for x in q:
+                    counts[x] += 1
+                tv_ = moments.TypeVector(G, tuple(counts), k)
+                assert moments.annihilation_probability(tv_) == brute, (
+                    f"mismatch at G={G.label()}, q={q}"
+                )
+    return "all q, G in (Z/2, Z/3), n <= 3, k = 3"
+
+
+IDENTITIES = {
+    "gram-identity": _gram_identity,
+    "hypertree-identity": _hypertree_identity,
+    "sampler-vs-oracle": _sampler_vs_oracle,
+    "moment-cross-method": _moment_cross_method,
+    "isolated-double-probability": _isolated_double_probability,
+    "annihilation-normalization": _annihilation_normalization,
+    "kl-curvature": _kl_curvature,
+    "annihilation-vs-subsets": _annihilation_vs_subsets,
+}
+FULL_ONLY = ("annihilation-vs-subsets",)
 
 
 def _check(name, fn):
@@ -368,149 +513,17 @@ def _check(name, fn):
         "name": name,
         "status": status,
         "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
-        "detail": detail if isinstance(detail, str) else (detail or ""),
+        "detail": detail,
     }
 
 
 def verify_suite(level="fast"):
-    """Run the exact identities behind the model; returns a machine-readable ledger."""
-    from . import moments as mo
-    from .defect import column_is_isolated_double, isolated_double_probability, subset_family_mass
-    from .intlinalg import int_det
-    from .structured import gram_closed_form, gram_determinant, gram_rowwise, hypertree_identity
-
+    """Run the registered exact identities; returns a machine-readable ledger."""
     if level not in ("fast", "full"):
         raise InvalidInputError("level must be fast or full")
     full = level == "full"
-    ledger = []
-
-    def gram_identity():
-        ns = range(1, 9 if full else 6)
-        ks = (3, 4, 5, 7) if full else (3, 4)
-        for n in ns:
-            for k in ks:
-                closed = gram_closed_form(n, k)
-                summed = gram_rowwise(n, k)
-                assert closed == summed, f"gram mismatch at {(n, k)}"
-                assert int_det(closed) == gram_determinant(n, k), f"det mismatch at {(n, k)}"
-        return f"grid n<={max(ns)}, k in {ks}"
-
-    ledger.append(_check("gram-identity", gram_identity))
-
-    def hypertree_id():
-        top = 8 if full else 6
-        for n in range(3, top):
-            for r in (1, 2):
-                if r <= n - 2:
-                    lhs, rhs = hypertree_identity(n, r)
-                    assert lhs == rhs, f"hypertree identity fails at {(n, r)}"
-        return f"n < {top}, r in (1, 2)"
-
-    ledger.append(_check("hypertree-identity", hypertree_id))
-
-    def sampler_oracle():
-        import numpy as _np
-        from collections import Counter
-        from .sampling import enumerate_distribution, get_basis_family, sample_volume
-
-        fam = get_basis_family(3, 3)
-        dist = dict(enumerate_distribution(fam))
-        assert sum(dist.values()) == 1
-        draws = 100_000 if full else 20_000
-        rng = _np.random.default_rng(20240901)
-        cnt = Counter(sample_volume(fam, rng) for _ in range(draws))
-        assert all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset"
-        tv = 0.5 * sum(abs(cnt.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
-        # a perfect sampler's TV concentrates at sum(sqrt(p)) / sqrt(2 pi draws)
-        floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
-        assert tv <= 1.5 * floor + 0.01, f"TV {tv:.4f} above noise allowance {1.5*floor+0.01:.4f}"
-        return f"TV {tv:.4f} over {draws} draws (noise floor {floor:.4f})"
-
-    ledger.append(_check("sampler-vs-oracle", sampler_oracle))
-
-    def moment_cross():
-        grid = (
-            [((2,), n, k) for n in (2, 4, 6, 8) for k in (3, 4, 5)]
-            + [((3,), n, 3) for n in (2, 3, 4)]
-            + ([((2, 2), n, 3) for n in (3, 5)] if full else [])
-        )
-        for divs, n, k in grid:
-            G = FiniteAbelianGroup(divs)
-            assert mo.surjection_moment_exact(G, n, k) == mo.surjection_moment_bruteforce(G, n, k)
-        return f"{len(grid)} (G, n, k) cells"
-
-    ledger.append(_check("moment-cross-method", moment_cross))
-
-    def isolated_double():
-        for r in (1, 2):
-            formula = isolated_double_probability(3, 3, r)
-            cols = list(range(1, r + 1))
-            brute = subset_family_mass(
-                3, 3, lambda K: all(column_is_isolated_double(K, i) for i in cols)
-            )
-            assert formula == brute, f"column-event probability mismatch at r={r}"
-        return "n=3, r in (1, 2), exact"
-
-    ledger.append(_check("isolated-double-probability", isolated_double))
-
-    def normalization():
-        top = 100 if full else 50
-        for k in (3, 5):
-            for n in range(1, top + 1):
-                G = FiniteAbelianGroup((2,))
-                tv_ = mo.TypeVector(G, (n, 0), k)
-                assert mo.annihilation_probability(tv_) == 1
-        return f"zero tuple pinned for n <= {top}, k in (3, 5)"
-
-    ledger.append(_check("annihilation-normalization", normalization))
-
-    def curvature():
-        combos = (
-            [((2,), 3), ((3,), 3), ((2, 2), 3), ((2,), 5), ((3,), 5), ((2, 2), 5)]
-            if full
-            else [((2,), 3), ((3,), 3)]
-        )
-        for divs, k in combos:
-            G = FiniteAbelianGroup(divs)
-            gnorm, hdev = mo.kl_curvature_check(G, k)
-            assert gnorm <= 1e-6, f"gradient {gnorm} too large for {divs}, k={k}"
-            assert hdev <= 1e-3 * G.order, f"hessian deviation {hdev} too large for {divs}"
-        return f"{len(combos)} (G, k) cells"
-
-    ledger.append(_check("kl-curvature", curvature))
-
-    if full:
-
-        def annihilation_vs_subsets():
-            import itertools as it
-            from .sampling import get_basis_family
-            from .structured import row_vector
-
-            for divs in ((2,), (3,)):
-                G = FiniteAbelianGroup(divs)
-                g = G.order
-                for n in (2, 3):
-                    k = 3
-                    denom = gram_determinant(n, k)
-                    tuples = list(it.product(range(1, n + 1), repeat=k))
-                    for q in it.product(range(g), repeat=n):
-                        iq = [
-                            b for b in tuples
-                            if sum(q[x - 1] for x in b) % divs[0] == 0
-                        ]
-                        from fractions import Fraction as F
-
-                        brute = F(0)
-                        for combo in it.combinations(iq, n):
-                            d = int_det([row_vector(b, n) for b in combo])
-                            brute += F(d * d, denom)
-                        counts = [0] * g
-                        for x in q:
-                            counts[x] += 1
-                        tv_ = mo.TypeVector(G, tuple(counts), k)
-                        assert mo.annihilation_probability(tv_) == brute, f"q={q}"
-            return "all q, G in (Z/2, Z/3), n <= 3, k = 3"
-
-        ledger.append(_check("annihilation-vs-subsets", annihilation_vs_subsets))
-
-    return ledger
+    return [
+        _check(name, lambda check=check: check(full))
+        for name, check in IDENTITIES.items()
+        if full or name not in FULL_ONLY
+    ]

@@ -246,15 +246,6 @@ def aut_order(G):
     return total
 
 
-def hom_count(A, B):
-    """Number of homomorphisms A -> B: product of gcds of invariant factors."""
-    total = 1
-    for a in A.divisors:
-        for b in B.divisors:
-            total *= math.gcd(a, b)
-    return total
-
-
 def hom_count_cokernel(divisors, free_rank, B):
     """#Hom(Z^f + sum Z/d_i, B) for a finitely generated source."""
     total = B.order**free_rank
@@ -275,16 +266,6 @@ def _moebius_table(G):
         else:
             mu[H] = -sum(mu[K] for K in subs if len(K) > len(H) and H < K)
     return mu
-
-
-def sur_count(A, G):
-    """Number of surjections A -> G by Moebius inversion over subgroups of G."""
-    mu = _moebius_table(G)
-    total = 0
-    for H, m in mu.items():
-        if m:
-            total += m * hom_count(A, G.subgroup_group(H))
-    return total
 
 
 def sur_count_cokernel(divisors, free_rank, G):

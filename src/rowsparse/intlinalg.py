@@ -87,21 +87,3 @@ def frac_inverse(rows):
                 inv[r] = [x - g * y for x, y in zip(inv[r], inv[c])]
     return inv
 
-
-def gram_matrix(rows):
-    """Column Gram matrix A^T A of a stack of integer rows."""
-    if not rows:
-        return []
-    m = len(rows[0])
-    g = [[0] * m for _ in range(m)]
-    for row in rows:
-        nz = [(j, v) for j, v in enumerate(row) if v]
-        for j, vj in nz:
-            gj = g[j]
-            for l, vl in nz:
-                gj[l] += vj * vl
-    return g
-
-
-def mat_vec(rows, vec):
-    return [sum(a * x for a, x in zip(r, vec)) for r in rows]

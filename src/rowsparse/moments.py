@@ -57,16 +57,6 @@ class TypeVector:
         els = self.group.elements
         return tuple(els[i] for i, c in enumerate(self.counts) if c > 0)
 
-    def count_of(self, element):
-        return self.counts[self.group.index(element)]
-
-    @classmethod
-    def from_counts(cls, group, counts_by_element, k):
-        counts = [0] * group.order
-        for e, c in counts_by_element.items():
-            counts[group.index(e)] = c
-        return cls(group, tuple(counts), k)
-
 
 def _neg_table(G):
     els = G.elements
@@ -155,10 +145,6 @@ class TypeMatrix:
         for size in range(1, len(self.C) + 1):
             out.append(frac_det([list(r[:size]) for r in self.C[:size]]))
         return out
-
-
-def m_matrix(tv):
-    return TypeMatrix.build(tv)
 
 
 def annihilation_probability(tv):

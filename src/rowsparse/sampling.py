@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .structured import (
 )
 
 EXACT_ITEM_LIMIT = 10**5
+# caps both the padded sparse arrays (items x row width) and the dense Gram
+# (columns^2) that the float path allocates
+FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 
 
@@ -66,7 +70,7 @@ def _as_rng(rng, config):
 class RowFamily:
     """A finite family of integer rows in R^m supporting sparse projections.
 
-    Subclasses fill in: n_items, ncols, item(i), sparse_row(i), gram().
+    Subclasses fill in: n_items, ncols, item(i), sparse_row(i).
     `coords`/`vals` give the padded sparse layout used by the vectorized
     float path.
     """
@@ -90,7 +94,17 @@ class RowFamily:
         return vec
 
     def gram(self):
-        raise NotImplementedError
+        """Column Gram matrix host^T host, accumulated over the sparse rows."""
+        if not hasattr(self, "_gram"):
+            g = [[0] * self.ncols for _ in range(self.ncols)]
+            for i in range(self.n_items):
+                nz = self.sparse_row(i)
+                for a, va in nz:
+                    ga = g[a]
+                    for b, vb in nz:
+                        ga[b] += va * vb
+            self._gram = g
+        return self._gram
 
     def gram_det(self):
         if not hasattr(self, "_gram_det"):
@@ -99,9 +113,15 @@ class RowFamily:
 
     # -- float plumbing ---------------------------------------------------
 
+    def row_width(self):
+        """Largest row support: the width of the padded sparse arrays."""
+        if not hasattr(self, "_width"):
+            self._width = max(len(self.sparse_row(i)) for i in range(self.n_items))
+        return self._width
+
     def _sparse_arrays(self):
         if not hasattr(self, "_coords"):
-            width = max(len(self.sparse_row(i)) for i in range(self.n_items))
+            width = self.row_width()
             coords = np.zeros((self.n_items, width), dtype=np.int64)
             vals = np.zeros((self.n_items, width), dtype=np.float64)
             for i in range(self.n_items):
@@ -210,6 +230,9 @@ class BasisSumRows(RowFamily):
     def gram_det(self):
         return gram_determinant(self.n, self.k)
 
+    def row_width(self):
+        return self.k
+
     def _sparse_arrays(self):
         if not hasattr(self, "_coords"):
             digits = np.array(
@@ -269,18 +292,6 @@ class BoundaryRows(RowFamily):
             (self._col_index[S], sign) for S, sign in boundary_column_sparse(self.n, self.r, face)
         )
 
-    def gram(self):
-        if not hasattr(self, "_gram"):
-            m = self.ncols
-            g = [[0] * m for _ in range(m)]
-            for i in range(self.n_items):
-                nz = self.sparse_row(i)
-                for a, va in nz:
-                    for b, vb in nz:
-                        g[a][b] += va * vb
-            self._gram = g
-        return self._gram
-
 
 class MatrixRows(RowFamily):
     """Generic host: the rows of an explicit integer matrix."""
@@ -306,11 +317,6 @@ class MatrixRows(RowFamily):
 
     def dense_row(self, i):
         return list(self._rows[i])
-
-    def gram(self):
-        from .intlinalg import gram_matrix
-
-        return gram_matrix(self._rows)
 
 
 def _exact_categorical(weights, total, rng):
@@ -338,6 +344,11 @@ def _exact_categorical(weights, total, rng):
 def _sample_volume_float(family, rng, config):
     m = family.ncols
     n_items = family.n_items
+    entries = max(n_items * family.row_width(), m * m)
+    if entries > FLOAT_ENTRY_LIMIT:
+        raise SizeLimitError(
+            f"float mode caps its arrays at {FLOAT_ENTRY_LIMIT} entries, this host needs {entries}"
+        )
     tol = config.reorthogonalization_tolerance
     base = family.leverage_float()
     for attempt in range(3):
@@ -442,11 +453,13 @@ def enumerate_distribution(family, m=None):
     denom = family.gram_det()
     if denom == 0:
         raise DegenerateHostError("host Gram determinant is zero")
+    rows = [family.dense_row(i) for i in range(family.n_items)]
+    items = family.items()
     out = []
     for combo in itertools.combinations(range(family.n_items), m):
-        d = int_det([family.dense_row(i) for i in combo])
+        d = int_det([rows[i] for i in combo])
         if d:
-            out.append((tuple(family.item(i) for i in combo), Fraction(d * d, denom)))
+            out.append((tuple(items[i] for i in combo), Fraction(d * d, denom)))
     return out
 
 
@@ -459,31 +472,16 @@ def exact_subset_probability(family, identifiers):
     return Fraction(d * d, family.gram_det())
 
 
+@lru_cache(maxsize=8)
+def cached_family(cls, *args):
+    """The shared host cls(*args), so its Gram and leverage data are built once."""
+    return cls(*args)
+
+
 def marginal_leverage(b, n, k):
     """Inclusion probability P(b in Y) for the (n, k) basis-sum family, exact."""
-    family = get_basis_family(n, k)
+    family = cached_family(BasisSumRows, n, k)
     return family.leverage_exact(family.item_index(tuple(b)))
-
-
-_FAMILY_CACHE = {}
-
-
-def get_basis_family(n, k):
-    key = ("basis", n, k)
-    if key not in _FAMILY_CACHE:
-        if len(_FAMILY_CACHE) > 8:
-            _FAMILY_CACHE.clear()
-        _FAMILY_CACHE[key] = BasisSumRows(n, k)
-    return _FAMILY_CACHE[key]
-
-
-def get_boundary_family(n, r=2):
-    key = ("boundary", n, r)
-    if key not in _FAMILY_CACHE:
-        if len(_FAMILY_CACHE) > 8:
-            _FAMILY_CACHE.clear()
-        _FAMILY_CACHE[key] = BoundaryRows(n, r)
-    return _FAMILY_CACHE[key]
 
 
 def sample_matrix(n, k, rng=None, config=DEFAULT_CONFIG):
@@ -491,15 +489,9 @@ def sample_matrix(n, k, rng=None, config=DEFAULT_CONFIG):
 
     Rows are canonicalized in lexicographic tuple order.
     """
-    family = get_basis_family(n, k)
+    family = cached_family(BasisSumRows, n, k)
     subset = sample_volume(family, rng, config)
     return [family.dense_row(family.item_index(b)) for b in subset]
-
-
-def sample_matrix_with_subset(n, k, rng=None, config=DEFAULT_CONFIG):
-    family = get_basis_family(n, k)
-    subset = sample_volume(family, rng, config)
-    return subset, [family.dense_row(family.item_index(b)) for b in subset]
 
 
 def sample_hypertree(n, rng=None, config=DEFAULT_CONFIG):
@@ -511,6 +503,6 @@ def sample_hypertree(n, rng=None, config=DEFAULT_CONFIG):
     """
     if n < 4:
         raise InvalidInputError("need n >= 4 for 2-dimensional hypertrees")
-    family = get_boundary_family(n, 2)
+    family = cached_family(BoundaryRows, n, 2)
     subset = sample_volume(family, rng, config)
     return subset, [family.dense_row(family.item_index(f)) for f in subset]

@@ -135,24 +135,13 @@ def _diagonalize(mat):
     return diag
 
 
-def smith_normal_form(mat):
-    """Elementary divisor chain (entries > 1) and cols - rank of an integer matrix."""
-    if not mat or not mat[0]:
-        ncols = len(mat[0]) if mat else 0
-        return (), ncols
-    ncols = len(mat[0])
-    if any(len(r) != ncols for r in mat):
-        raise InvalidInputError("ragged matrix")
-    diag = _diagonalize(mat)
-    divisors = tuple(d for d in diag if d > 1)
-    return divisors, ncols - len(diag)
-
-
 def cokernel(mat):
     """Cokernel of the column action: Z^rows / A Z^cols."""
     nrows = len(mat)
     if nrows == 0:
         return CokernelClass(free_rank=0, divisors=())
+    if any(len(r) != len(mat[0]) for r in mat):
+        raise InvalidInputError("ragged matrix")
     diag = _diagonalize(mat)
     return CokernelClass(free_rank=nrows - len(diag), divisors=tuple(d for d in diag if d > 1))
 
@@ -200,60 +189,3 @@ def rank_mod_p(mat, p):
             break
     return rank, ncols - rank
 
-
-def _valuation(x, p):
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def sylow_mod_prime_power(mat, p):
-    """p-Sylow partition of cok(A) for square nonsingular A, via elimination mod p^e.
-
-    Optional accelerator: works modulo p^e with e one more than the p-adic
-    valuation of det(A), where the integer and p-adic elementary divisors
-    agree. Validated against the Smith normal form path in the test suite.
-    """
-    from .intlinalg import int_det
-
-    if not is_prime(p):
-        raise InvalidInputError(f"{p} is not prime")
-    n = len(mat)
-    det = int_det(mat)
-    if det == 0:
-        raise InvalidInputError("matrix must be nonsingular")
-    e = _valuation(abs(det), p) + 1
-    q = p**e
-    a = [[x % q for x in row] for row in mat]
-    parts = []
-    for t in range(n):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j]:
-                    v = _valuation(a[i][j], p)
-                    if best is None or v < best[0]:
-                        best = (v, i, j)
-        v, pi, pj = best
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
-        unit = a[t][t] // p**v
-        unit_inv = pow(unit, -1, p ** (e - v)) if e > v else 1
-        for i in range(t + 1, n):
-            if a[i][t]:
-                # minimal pivot valuation makes the quotient p-integral
-                f = (a[i][t] // p**v) * unit_inv % p ** (e - v)
-                a[i] = [(x - f * y) % q for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            if a[t][j]:
-                f = (a[t][j] // p**v) * unit_inv % p ** (e - v)
-                for row in a:
-                    row[j] = (row[j] - f * row[t]) % q
-        if v:
-            parts.append(v)
-    return PGroupType(prime=p, partition=tuple(sorted(parts, reverse=True)))

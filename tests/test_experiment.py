@@ -3,9 +3,12 @@ import os
 
 import pytest
 
+from rowsparse import experiment
 from rowsparse.cli import main
 from rowsparse.errors import InvalidInputError
 from rowsparse.experiment import (
+    FULL_ONLY,
+    IDENTITIES,
     ExperimentConfig,
     TrialRecord,
     load_trials,
@@ -14,6 +17,7 @@ from rowsparse.experiment import (
     run_campaign,
     verify_suite,
     wilson_interval,
+    worker_count,
 )
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.moments import surjection_moment_exact
@@ -82,6 +86,20 @@ def test_campaign_parallel_matches_serial(tmp_path):
     finally:
         del os.environ["ROWSPARSE_WORKERS"]
     assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+
+
+def test_worker_count_validation(monkeypatch):
+    monkeypatch.delenv("ROWSPARSE_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("ROWSPARSE_WORKERS", "3")
+    assert worker_count() == 3
+    monkeypatch.setenv("ROWSPARSE_WORKERS", "64")
+    assert worker_count() == 4  # capped at the CPU count
+    for bad in ("two", "1.5", "", "0", "-2"):
+        monkeypatch.setenv("ROWSPARSE_WORKERS", bad)
+        with pytest.raises(InvalidInputError):
+            worker_count()
 
 
 def test_trials_roundtrip(tmp_path):
@@ -180,6 +198,26 @@ def test_verify_suite_fast_all_pass():
         verify_suite("medium")
 
 
+def test_verify_suite_runs_the_identity_registry(monkeypatch):
+    # stub checks keep the test cheap; the real checks run in the acceptance gate
+    levels = []
+    stubs = {name: (lambda full: levels.append(full) or "") for name in IDENTITIES}
+    monkeypatch.setattr(experiment, "IDENTITIES", stubs)
+    assert [entry["name"] for entry in verify_suite("full")] == list(IDENTITIES)
+    assert levels == [True] * len(IDENTITIES)
+    fast = [entry["name"] for entry in verify_suite("fast")]
+    assert fast == [name for name in IDENTITIES if name not in FULL_ONLY]
+    assert fast == [
+        "gram-identity",
+        "hypertree-identity",
+        "sampler-vs-oracle",
+        "moment-cross-method",
+        "isolated-double-probability",
+        "annihilation-normalization",
+        "kl-curvature",
+    ]
+
+
 def test_cli_sample_and_verify(capsys):
     assert main(["sample", "--n", "1", "--k", "3", "--seed", "0"]) == 0
     out = capsys.readouterr().out
@@ -231,6 +269,12 @@ def test_cli_campaign_and_report(tmp_path, capsys):
 
 def test_cli_invalid_input_is_reported(capsys):
     assert main(["sample", "--n", "4", "--seed", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_size_limit_is_reported(capsys):
+    argv = ["moment-exact", "--group", "2,2,2,2,2,2,2", "--n", "40", "--k", "3"]
+    assert main(argv) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -9,6 +9,7 @@ from rowsparse.errors import InvalidInputError, UndefinedFormError
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.intlinalg import int_det
 from rowsparse.moments import (
+    TypeMatrix,
     TypeVector,
     annihilation_probability,
     ball_constants,
@@ -20,7 +21,6 @@ from rowsparse.moments import (
     expected_annihilated_via_kl,
     kl_curvature_check,
     kl_divergence,
-    m_matrix,
     order2_moment_floor,
     parity_closed_forms,
     surjection_moment_bruteforce,
@@ -112,7 +112,7 @@ def test_convolution_range_check():
 
 def test_m_matrix_single_class():
     tv = TypeVector(Z2, (5, 0), 3)
-    mm = m_matrix(tv)
+    mm = TypeMatrix.build(tv)
     assert mm.diag == (3 * 5**2,)
     assert mm.det == 75
 
@@ -122,7 +122,7 @@ def test_m_matrix_uniform_determinant():
     for G, n, k in [(Z2, 6, 3), (Z2, 8, 5), (Z3, 6, 4), (V4, 8, 3)]:
         g = G.order
         counts = tuple(n // g for _ in range(g))
-        mm = m_matrix(TypeVector(G, counts, k))
+        mm = TypeMatrix.build(TypeVector(G, counts, k))
         assert mm.det == Fraction(k * n ** ((k - 1) * g), g**g)
 
 
@@ -134,7 +134,7 @@ def test_m_matrix_diagonal_bound_and_psd():
         tv = random_type(rng, G, rng.randrange(1, 15), k)
         if tv.n == 0:
             continue
-        mm = m_matrix(tv)
+        mm = TypeMatrix.build(tv)
         conv = convolution_powers(tv, k - 1)
         for e, d in zip(mm.elements, mm.diag):
             assert d <= k * conv[e]

@@ -10,11 +10,11 @@ from rowsparse.sampling import (
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
+    RowFamily,
     SamplerConfig,
+    cached_family,
     enumerate_distribution,
     exact_subset_probability,
-    get_basis_family,
-    get_boundary_family,
     marginal_leverage,
     sample_hypertree,
     sample_matrix,
@@ -28,7 +28,7 @@ SEED = 20240901
 @pytest.fixture(scope="module")
 def b33_draws():
     """One shared batch of seeded draws from the (3, 3) family."""
-    fam = get_basis_family(3, 3)
+    fam = cached_family(BasisSumRows, 3, 3)
     rng = np.random.default_rng(SEED)
     counts = Counter()
     inclusions = Counter()
@@ -61,7 +61,7 @@ def test_enumeration_n2():
 
 
 def test_enumeration_n3_sums_to_one_exactly():
-    dist = enumerate_distribution(get_basis_family(3, 3))
+    dist = enumerate_distribution(cached_family(BasisSumRows, 3, 3))
     assert sum(p for _, p in dist) == 1
     assert len(dist) == 1918  # of the 2925 3-subsets, these have nonzero determinant
 
@@ -92,7 +92,7 @@ def test_marginal_leverage_equals_enumeration_marginal():
 
 
 def test_marginal_leverage_trace_n3():
-    fam = get_basis_family(3, 3)
+    fam = cached_family(BasisSumRows, 3, 3)
     assert sum(fam.leverage_exact(i) for i in range(fam.n_items)) == 3
 
 
@@ -134,7 +134,7 @@ def test_emitted_subsets_have_positive_exact_probability(b33_draws):
 
 
 def test_determinism_same_seed_same_sequence():
-    fam = get_basis_family(3, 3)
+    fam = cached_family(BasisSumRows, 3, 3)
     a = [sample_volume(fam, np.random.default_rng(7)) for _ in range(5)]
     b = [sample_volume(fam, np.random.default_rng(7)) for _ in range(5)]
     assert a == b
@@ -163,6 +163,28 @@ def test_exact_mode_item_guard():
         sample_volume(BasisSumRows(8, 7), np.random.default_rng(0), cfg)
 
 
+def test_float_size_guard():
+    # (30, 6) is --k-schedule pow:0.5 at n = 30 and (100, 5) is loglog:3 at n = 100
+    for n, k in ((30, 6), (100, 5)):
+        with pytest.raises(SizeLimitError):
+            sample_volume(BasisSumRows(n, k), np.random.default_rng(0))
+    # the largest hosts the campaigns build stay within the guard
+    for host in (BasisSumRows(12, 5), BoundaryRows(16, 2)):
+        assert len(sample_volume(host, np.random.default_rng(0))) == host.ncols
+
+
+def test_cached_family_shares_hosts():
+    assert cached_family(BasisSumRows, 3, 3) is cached_family(BasisSumRows, 3, 3)
+    assert cached_family(BoundaryRows, 5, 2) is not cached_family(BoundaryRows, 6, 2)
+
+
+def test_generic_gram_matches_closed_form():
+    from rowsparse.structured import gram_closed_form
+
+    for n, k in ((2, 3), (3, 3), (3, 4)):
+        assert RowFamily.gram(BasisSumRows(n, k)) == gram_closed_form(n, k)
+
+
 def test_degenerate_host_raises():
     host = MatrixRows([[1, 0], [2, 0], [3, 0]])
     with pytest.raises(DegenerateHostError):
@@ -189,7 +211,7 @@ def test_hypertree_n4():
 
 
 def test_hypertree_n5_distribution():
-    fam = get_boundary_family(5, 2)
+    fam = cached_family(BoundaryRows, 5, 2)
     dist = dict(enumerate_distribution(fam))
     # 125 hypertrees on 5 vertices, all torsion free
     assert len(dist) == 125
@@ -215,7 +237,7 @@ def test_boundary_gram_det_matches_identity():
 def test_hypertree_probability_is_squared_torsion_order():
     from rowsparse.snf import cokernel
 
-    fam = get_boundary_family(6, 2)
+    fam = cached_family(BoundaryRows, 6, 2)
     rng = np.random.default_rng(23)
     for _ in range(10):
         faces, mat = sample_hypertree(6, rng)
