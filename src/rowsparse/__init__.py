@@ -10,6 +10,7 @@ hypertree model over simplicial boundary matrices shares the same sampler.
 
 from .errors import (
     DegenerateHostError,
+    IdentityError,
     InvalidInputError,
     SizeLimitError,
     UndefinedFormError,

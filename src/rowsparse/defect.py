@@ -92,7 +92,11 @@ def mc_corank_tail(n, k, r, trials, rng=None, config=DEFAULT_CONFIG):
 
 
 def subset_family_mass(n, k, predicate):
-    """Exact probability mass of {Y : predicate(Y)} under the volume measure."""
+    """Exact probability mass of {Y : predicate(Y)} under the volume measure.
+
+    A filter over the distribution stored on the cached (n, k) host, so only
+    the first call per host enumerates subsets.
+    """
     family = sampling.cached_family(sampling.BasisSumRows, n, k)
     return sum(
         (p for subset, p in sampling.enumerate_distribution(family) if predicate(subset)),

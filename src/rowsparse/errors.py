@@ -10,7 +10,14 @@ class SizeLimitError(RuntimeError):
 
 
 class DegenerateHostError(RuntimeError):
-    """The host row family is rank deficient: no full-size subset has nonzero determinant."""
+    """The host row family is rank deficient: no full-size subset has nonzero determinant.
+
+    Also raised when float residuals leave mass on a row the exact measure gives none.
+    """
+
+
+class IdentityError(RuntimeError):
+    """An exact identity of the verify suite does not hold."""
 
 
 class UndefinedFormError(ArithmeticError):

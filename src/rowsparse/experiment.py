@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import defect, intlinalg, moments, sampling, structured
-from .errors import DegenerateHostError, InvalidInputError
+from .errors import IdentityError, InvalidInputError
 from .groups import (
     FiniteAbelianGroup,
     cl_probability,
@@ -137,16 +137,7 @@ def run_trial(cfg, trial_id):
     start = time.perf_counter()
     family = _trial_family(cfg)
     rng = np.random.default_rng([cfg.seed, trial_id])
-    sampler_cfg = cfg.sampler_config()
-    subset = None
-    for attempt in range(2):
-        try:
-            subset = sample_volume(family, rng, sampler_cfg)
-            break
-        except DegenerateHostError:
-            # one retry on the continuation of the same stream, then give up
-            if attempt:
-                raise
+    subset = sample_volume(family, rng, cfg.sampler_config())
     mat = [family.dense_row(family.item_index(ident)) for ident in subset]
     cok = cokernel(mat)
     syl = {}
@@ -367,10 +358,16 @@ def load_trials(path):
 # -- exact identities ---------------------------------------------------------
 #
 # One registry serves `rowsparse verify` and the acceptance gate. Each check
-# takes `full` (the full level's larger grid), raises on a failed identity
-# and returns a detail line. Checks reach structured, sampling, moments,
-# defect and intlinalg through their modules at call time, so a wrapper
-# installed on a module attribute sees every call.
+# takes `full` (the full level's larger grid), raises IdentityError on a
+# failed identity and returns a detail line. The raise is explicit, not an
+# `assert`, so the checks still hold under `python -O`. Checks reach
+# structured, sampling, moments, defect and intlinalg through their modules
+# at call time, so a wrapper installed on a module attribute sees every call.
+
+
+def _require(ok, message):
+    if not ok:
+        raise IdentityError(message)
 
 
 def _gram_identity(full):
@@ -380,9 +377,10 @@ def _gram_identity(full):
         for k in ks:
             closed = structured.gram_closed_form(n, k)
             summed = structured.gram_rowwise(n, k)
-            assert closed == summed, f"gram mismatch at {(n, k)}"
-            assert intlinalg.int_det(closed) == structured.gram_determinant(n, k), (
-                f"det mismatch at {(n, k)}"
+            _require(closed == summed, f"gram mismatch at {(n, k)}")
+            _require(
+                intlinalg.int_det(closed) == structured.gram_determinant(n, k),
+                f"det mismatch at {(n, k)}",
             )
     return f"grid n<={max(ns)}, k in {ks}"
 
@@ -393,22 +391,23 @@ def _hypertree_identity(full):
         for r in (1, 2):
             if r <= n - 2:
                 lhs, rhs = structured.hypertree_identity(n, r)
-                assert lhs == rhs, f"hypertree identity fails at {(n, r)}: {lhs} != {rhs}"
+                _require(lhs == rhs, f"hypertree identity fails at {(n, r)}: {lhs} != {rhs}")
     return f"n < {top}, r in (1, 2)"
 
 
 def _sampler_vs_oracle(full):
     fam = cached_family(BasisSumRows, 3, 3)
     dist = dict(sampling.enumerate_distribution(fam))
-    assert sum(dist.values()) == 1
+    _require(sum(dist.values()) == 1, "oracle probabilities do not sum to 1")
     draws = 100_000 if full else 20_000
     rng = np.random.default_rng(20240901)
     cnt = Counter(sampling.sample_volume(fam, rng) for _ in range(draws))
-    assert all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset"
+    _require(all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset")
     tv = 0.5 * sum(abs(cnt.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     # a perfect sampler's TV concentrates at sum(sqrt(p)) / sqrt(2 pi draws)
     floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
-    assert tv <= 1.5 * floor + 0.01, f"TV {tv:.4f} above noise allowance {1.5*floor+0.01:.4f}"
+    allowance = 1.5 * floor + 0.01
+    _require(tv <= allowance, f"TV {tv:.4f} above noise allowance {allowance:.4f}")
     return f"TV {tv:.4f} over {draws} draws (noise floor {floor:.4f})"
 
 
@@ -425,20 +424,23 @@ def _moment_cross_method(full):
         G = FiniteAbelianGroup(divs)
         a = moments.surjection_moment_exact(G, n, k)
         b = moments.surjection_moment_bruteforce(G, n, k)
-        assert a == b, f"moment mismatch at {(G.label(), n, k)}: {a} != {b}"
+        _require(a == b, f"moment mismatch at {(G.label(), n, k)}: {a} != {b}")
     return f"{len(grid)} (G, n, k) cells"
 
 
 def _isolated_double_probability(full):
     if full:
-        assert defect.isolated_double_probability(3, 3, 1) == Fraction(128, 729)
+        _require(
+            defect.isolated_double_probability(3, 3, 1) == Fraction(128, 729),
+            "isolated-double probability at (3, 3, 1) is not 128/729",
+        )
     for r in (1, 2):
         formula = defect.isolated_double_probability(3, 3, r)
         cols = list(range(1, r + 1))
         brute = defect.subset_family_mass(
             3, 3, lambda K: all(defect.column_is_isolated_double(K, i) for i in cols)
         )
-        assert formula == brute, f"column-event probability mismatch at r={r}"
+        _require(formula == brute, f"column-event probability mismatch at r={r}")
     return "n=3, r in (1, 2), exact"
 
 
@@ -447,7 +449,10 @@ def _annihilation_normalization(full):
     G = FiniteAbelianGroup((2,))
     for k in (3, 5):
         for n in range(1, top + 1):
-            assert moments.annihilation_probability(moments.TypeVector(G, (n, 0), k)) == 1
+            _require(
+                moments.annihilation_probability(moments.TypeVector(G, (n, 0), k)) == 1,
+                f"zero tuple not annihilated with probability 1 at n={n}, k={k}",
+            )
     return f"zero tuple pinned for n <= {top}, k in (3, 5)"
 
 
@@ -461,8 +466,8 @@ def _kl_curvature(full):
     for divs, k in combos:
         G = FiniteAbelianGroup(divs)
         gnorm, hdev = moments.kl_curvature_check(G, k)
-        assert gnorm <= 1e-6, f"gradient {gnorm} too large for {divs}, k={k}"
-        assert hdev <= 1e-3 * G.order, f"hessian deviation {hdev} too large for {divs}"
+        _require(gnorm <= 1e-6, f"gradient {gnorm} too large for {divs}, k={k}")
+        _require(hdev <= 1e-3 * G.order, f"hessian deviation {hdev} too large for {divs}")
         worst = max(worst, gnorm, hdev)
     return f"{len(combos)} (G, k) cells, worst deviation {worst:.2e}"
 
@@ -482,8 +487,9 @@ def _annihilation_vs_subsets(full):
                 for x in q:
                     counts[x] += 1
                 tv_ = moments.TypeVector(G, tuple(counts), k)
-                assert moments.annihilation_probability(tv_) == brute, (
-                    f"mismatch at G={G.label()}, q={q}"
+                _require(
+                    moments.annihilation_probability(tv_) == brute,
+                    f"mismatch at G={G.label()}, q={q}",
                 )
     return "all q, G in (Z/2, Z/3), n <= 3, k = 3"
 

@@ -9,11 +9,20 @@ step with probability proportional to its residual kernel mass
 
 where the v_j are the W-orthonormalized directions of the already chosen
 rows, realizes the squared-determinant measure exactly. Residual totals
-telescope: sum_x r_x = m - t after t picks. Each downdate touches a row only
-through its sparse support, so a full draw costs O(N * m * nnz).
+telescope: sum_x r_x = m - t after t picks.
 
-Float64 is the working precision; an exact-rational path covers micro
-instances and the enumeration oracle is exact always.
+Each host structure has one float64 sampler (`sample_float`):
+
+* the generic path (`BoundaryRows`, `MatrixRows`) keeps every row's residual
+  in padded sparse arrays and downdates each row through its support, so a
+  draw costs O(N * m * nnz) time and O(N * nnz + m^2) memory for N rows;
+* the basis-sum host (`BasisSumRows`) never builds its n^k rows. It keeps
+  the n x n residual operator Q of the dual space, r_b = x_b^T Q x_b, and
+  draws each tuple one slot at a time from exact marginals (`BasisResidual`),
+  so a draw costs O(n^3 + k n^2) time and O(n^2) memory.
+
+An exact-rational path, generic over hosts, covers micro instances, and the
+enumeration oracle is exact always.
 """
 
 import itertools
@@ -37,8 +46,9 @@ from .structured import (
 )
 
 EXACT_ITEM_LIMIT = 10**5
-# caps both the padded sparse arrays (items x row width) and the dense Gram
-# (columns^2) that the float path allocates
+# caps the float paths' arrays: the generic path's padded sparse rows
+# (items x row width) and dense Gram (columns^2), and the basis-sum path's
+# residual operator (n^2)
 FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 
@@ -59,6 +69,13 @@ class SamplerConfig:
 DEFAULT_CONFIG = SamplerConfig()
 
 
+def _check_float_entries(entries):
+    if entries > FLOAT_ENTRY_LIMIT:
+        raise SizeLimitError(
+            f"float mode caps its arrays at {FLOAT_ENTRY_LIMIT} entries, this host needs {entries}"
+        )
+
+
 def _as_rng(rng, config):
     if rng is None:
         return np.random.default_rng(config.seed)
@@ -71,8 +88,9 @@ class RowFamily:
     """A finite family of integer rows in R^m supporting sparse projections.
 
     Subclasses fill in: n_items, ncols, item(i), sparse_row(i).
-    `coords`/`vals` give the padded sparse layout used by the vectorized
-    float path.
+    `coords`/`vals` give the padded sparse layout used by the generic
+    vectorized float path; a subclass with more structure overrides
+    `sample_float`.
     """
 
     n_items = 0
@@ -141,14 +159,6 @@ class RowFamily:
                 self._winv = np.linalg.pinv(g)
         return self._winv
 
-    def gram_inv_apply_float(self, vec):
-        return self._gram_inv_float() @ vec
-
-    def project_all_float(self, c):
-        """Dot product of every row with the dense vector c."""
-        coords, vals = self._sparse_arrays()
-        return (c[coords] * vals).sum(axis=1)
-
     def leverage_float(self):
         if not hasattr(self, "_lev"):
             coords, vals = self._sparse_arrays()
@@ -161,6 +171,55 @@ class RowFamily:
                     lev += vals[:, a] * vals[:, b] * w[coords[:, a], coords[:, b]]
             self._lev = lev
         return self._lev
+
+    def sample_float(self, rng, config):
+        """Float64 chain-rule draw over the padded sparse rows of the whole host."""
+        m = self.ncols
+        n_items = self.n_items
+        _check_float_entries(max(n_items * self.row_width(), m * m))
+        tol = config.reorthogonalization_tolerance
+        base = self.leverage_float()
+        coords, vals = self._sparse_arrays()
+        winv = self._gram_inv_float()
+        for attempt in range(3):
+            r = base.copy()
+            chosen = []
+            dirs_v = []
+            dirs_c = []
+            ok = True
+            for _ in range(m):
+                np.clip(r, 0.0, None, out=r)
+                if chosen:
+                    r[np.array(chosen)] = 0.0
+                total = r.sum()
+                if total <= tol:
+                    ok = False
+                    break
+                cum = np.cumsum(r)
+                u = rng.random() * cum[-1]
+                j = int(np.searchsorted(cum, u, side="right"))
+                j = min(j, n_items - 1)
+                chosen.append(j)
+                v = np.array(self.dense_row(j), dtype=np.float64)
+                passes = 2 if attempt > 0 else 1
+                for _ in range(passes):
+                    for vv, cc in zip(dirs_v, dirs_c):
+                        v -= (v @ cc) * vv
+                c = winv @ v
+                norm2 = float(v @ c)
+                if norm2 <= tol:
+                    ok = False
+                    break
+                scale = math.sqrt(norm2)
+                v /= scale
+                c = c / scale
+                dirs_v.append(v)
+                dirs_c.append(c)
+                proj = (c[coords] * vals).sum(axis=1)  # every row's dot product with c
+                r -= proj * proj
+            if ok:
+                return tuple(sorted(self.item(j) for j in chosen))
+        raise DegenerateHostError("residual mass vanished before a full subset was chosen")
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -230,39 +289,116 @@ class BasisSumRows(RowFamily):
     def gram_det(self):
         return gram_determinant(self.n, self.k)
 
-    def row_width(self):
-        return self.k
-
-    def _sparse_arrays(self):
-        if not hasattr(self, "_coords"):
-            digits = np.array(
-                np.unravel_index(np.arange(self.n_items), (self.n,) * self.k)
-            ).T  # (N, k), zero based
-            self._coords = np.ascontiguousarray(digits, dtype=np.int64)
-            self._vals = np.ones_like(self._coords, dtype=np.float64)
-        return self._coords, self._vals
-
-    def gram_inv_apply_float(self, vec):
-        g = float(self._gamma)
-        return (vec - g * vec.sum()) / self._beta
-
     def gram_inv_apply_exact(self, vec):
         s = sum(vec)
         return [Fraction(v - self._gamma * s, self._beta) for v in vec]
 
-    def leverage_float(self):
-        if not hasattr(self, "_lev"):
-            coords, _ = self._sparse_arrays()
-            sq = np.zeros(self.n_items)
-            for a in range(self.k):
-                for b in range(self.k):
-                    sq += coords[:, a] == coords[:, b]
-            self._lev = (sq - float(self._gamma) * self.k**2) / self._beta
-        return self._lev
-
     def leverage_exact(self, i):
         sq = sum(v * v for _, v in self.sparse_row(i))
         return Fraction(sq - self._gamma * self.k**2, self._beta)
+
+    def sample_float(self, rng, config):
+        """Chain-rule draw in the n-dimensional dual space; no host row is built."""
+        _check_float_entries(self.n * self.n)
+        residual = BasisResidual(self)
+        tol = config.reorthogonalization_tolerance
+        return tuple(sorted(residual.draw(rng, tol) for _ in range(self.n)))
+
+
+class BasisResidual:
+    """The residual operator Q of a basis-sum chain-rule draw.
+
+    After t picks the residual kernel mass of tuple b is r_b = x_b^T Q x_b,
+    where x_b is b's count vector. Q starts at W = (I - gamma J) / beta and
+    each pick x downdates it by g g^T with g = Q x / sqrt(x^T Q x). Beside Q
+    (n x n, numpy) the slot loop reads diag Q and Q 1 as Python lists and
+    tr Q and 1^T Q 1 as floats, so that a slot costs O(n) Python float work
+    without numpy per-call overhead.
+    """
+
+    def __init__(self, family):
+        n = self.n = family.n
+        self.k = family.k
+        gamma = float(family._gamma)
+        self.beta = family._beta
+        self.q = (np.eye(n) - gamma) / self.beta
+        self.diag = [(1.0 - gamma) / self.beta] * n
+        self.q1 = [(1.0 - n * gamma) / self.beta] * n
+        self.trace = n * (1.0 - gamma) / self.beta
+        self.ones = n * (1.0 - n * gamma) / self.beta
+        self.leverage_shift = gamma * self.k**2  # beta K(b, b) = sum_i x_i^2 - gamma k^2
+
+    def walk(self, choose):
+        """Build one tuple slot by slot; choose(weights) names the next slot's index.
+
+        With prefix count vector p and u slots left after candidate a, the
+        remaining slots are uniform, so E y = (u/n) 1 and
+        E y y^T = (u/n) I + (u(u-1)/n^2) J. Candidate a then carries the mean
+        residual of its completions,
+
+            (p+e_a)^T Q (p+e_a) + (2u/n) 1^T Q (p+e_a)
+                + (u/n) tr Q + (u(u-1)/n^2) 1^T Q 1,
+
+        clipped at zero. The a-free terms are kept: they set how much weight
+        the completions carry against the prefix. Returns the zero-based
+        slot indices, Q x as a list and x^T Q x for the finished tuple x.
+        """
+        n, k = self.n, self.k
+        diag, q1, q = self.diag, self.q1, self.q
+        qx = [0.0] * n
+        xqx = oqx = 0.0  # x^T Q x and 1^T Q x of the prefix
+        slots = []
+        for s in range(k):
+            u = k - 1 - s
+            f = 2.0 * u / n
+            c = xqx + f * oqx + (u / n) * self.trace + (u * (u - 1) / (n * n)) * self.ones
+            weights = [c + 2.0 * a + d + f * o for a, d, o in zip(qx, diag, q1)]
+            a = choose([w if w > 0.0 else 0.0 for w in weights])
+            xqx += 2.0 * qx[a] + diag[a]
+            oqx += q1[a]
+            qx = [x + y for x, y in zip(qx, q[a].tolist())]
+            slots.append(a)
+        return slots, qx, xqx
+
+    def draw(self, rng, tol):
+        """Draw one tuple from the residual measure and condition Q on it.
+
+        Raises DegenerateHostError when the drawn tuple's residual is at most
+        tol times its own closed-form leverage, i.e. when float drift has
+        left mass on a tuple the exact measure gives none.
+        """
+        uniforms = iter(rng.random(self.k).tolist())
+
+        def choose(weights):
+            total = sum(weights)
+            if total <= 0.0:
+                raise DegenerateHostError("residual mass vanished before a full subset was chosen")
+            target = next(uniforms) * total
+            acc = 0.0
+            for a, w in enumerate(weights):
+                if w > 0.0:
+                    acc += w
+                    last = a
+                    if target < acc:
+                        return a
+            return last  # rounding left target at the top of the last positive slot
+
+        slots, qx, xqx = self.walk(choose)
+        leverage = (sum(map(slots.count, slots)) - self.leverage_shift) / self.beta
+        if xqx <= tol * leverage:
+            raise DegenerateHostError(
+                f"drawn tuple kept residual {xqx:.3e} against leverage {leverage:.3e}"
+            )
+        # Q -= g g^T with g = Q x / sqrt(x^T Q x), and the slot loop's aggregates with it
+        g = np.array(qx) / math.sqrt(xqx)
+        self.q -= np.outer(g, g)
+        g = g.tolist()
+        sg = sum(g)
+        self.diag = [d - x * x for d, x in zip(self.diag, g)]
+        self.q1 = [o - x * sg for o, x in zip(self.q1, g)]
+        self.trace -= sum(x * x for x in g)
+        self.ones -= sg * sg
+        return tuple(a + 1 for a in slots)
 
 
 class BoundaryRows(RowFamily):
@@ -341,57 +477,6 @@ def _exact_categorical(weights, total, rng):
     return i_lo  # pragma: no cover - dyadic boundary pathologically unresolved
 
 
-def _sample_volume_float(family, rng, config):
-    m = family.ncols
-    n_items = family.n_items
-    entries = max(n_items * family.row_width(), m * m)
-    if entries > FLOAT_ENTRY_LIMIT:
-        raise SizeLimitError(
-            f"float mode caps its arrays at {FLOAT_ENTRY_LIMIT} entries, this host needs {entries}"
-        )
-    tol = config.reorthogonalization_tolerance
-    base = family.leverage_float()
-    for attempt in range(3):
-        r = base.copy()
-        chosen = []
-        dirs_v = []
-        dirs_c = []
-        ok = True
-        for _ in range(m):
-            np.clip(r, 0.0, None, out=r)
-            if chosen:
-                r[np.array(chosen)] = 0.0
-            total = r.sum()
-            if total <= tol:
-                ok = False
-                break
-            cum = np.cumsum(r)
-            u = rng.random() * cum[-1]
-            j = int(np.searchsorted(cum, u, side="right"))
-            j = min(j, n_items - 1)
-            chosen.append(j)
-            v = np.array(family.dense_row(j), dtype=np.float64)
-            passes = 2 if attempt > 0 else 1
-            for _ in range(passes):
-                for vv, cc in zip(dirs_v, dirs_c):
-                    v -= (v @ cc) * vv
-            c = family.gram_inv_apply_float(v)
-            norm2 = float(v @ c)
-            if norm2 <= tol:
-                ok = False
-                break
-            scale = math.sqrt(norm2)
-            v /= scale
-            c = c / scale
-            dirs_v.append(v)
-            dirs_c.append(c)
-            proj = family.project_all_float(c)
-            r -= proj * proj
-        if ok:
-            return tuple(sorted(family.item(j) for j in chosen))
-    raise DegenerateHostError("residual mass vanished before a full subset was chosen")
-
-
 def _sample_volume_exact(family, rng):
     if family.n_items > EXACT_ITEM_LIMIT:
         raise SizeLimitError(
@@ -433,14 +518,15 @@ def sample_volume(family, rng=None, config=DEFAULT_CONFIG):
         raise InvalidInputError("host needs at least one column")
     if config.precision_mode == "exact":
         return _sample_volume_exact(family, rng)
-    return _sample_volume_float(family, rng, config)
+    return family.sample_float(rng, config)
 
 
 def enumerate_distribution(family, m=None):
     """Exact measure of every full-size subset with nonzero determinant.
 
     Returns [(identifiers, probability)] with rational probabilities that sum
-    to exactly 1 by Cauchy-Binet.
+    to exactly 1 by Cauchy-Binet. The list is built once per host and kept on
+    it; each call returns a fresh copy.
     """
     if m is None:
         m = family.ncols
@@ -450,17 +536,19 @@ def enumerate_distribution(family, m=None):
         raise SizeLimitError(
             f"C({family.n_items},{m}) subsets exceed the enumeration guard {ENUMERATION_LIMIT}"
         )
-    denom = family.gram_det()
-    if denom == 0:
-        raise DegenerateHostError("host Gram determinant is zero")
-    rows = [family.dense_row(i) for i in range(family.n_items)]
-    items = family.items()
-    out = []
-    for combo in itertools.combinations(range(family.n_items), m):
-        d = int_det([rows[i] for i in combo])
-        if d:
-            out.append((tuple(items[i] for i in combo), Fraction(d * d, denom)))
-    return out
+    if not hasattr(family, "_distribution"):
+        denom = family.gram_det()
+        if denom == 0:
+            raise DegenerateHostError("host Gram determinant is zero")
+        rows = [family.dense_row(i) for i in range(family.n_items)]
+        items = family.items()
+        out = []
+        for combo in itertools.combinations(range(family.n_items), m):
+            d = int_det([rows[i] for i in combo])
+            if d:
+                out.append((tuple(items[i] for i in combo), Fraction(d * d, denom)))
+        family._distribution = out
+    return list(family._distribution)
 
 
 def exact_subset_probability(family, identifiers):

@@ -136,3 +136,21 @@ def test_preconditions():
         isolated_double_probability(3, 3, 3)
     with pytest.raises(InvalidInputError):
         bonferroni_lower(3, 3, 3)
+
+
+def test_subset_family_mass_enumerates_each_host_once(monkeypatch):
+    from rowsparse import sampling
+
+    sampling.cached_family.cache_clear()
+    calls = []
+    real = sampling.int_det
+    monkeypatch.setattr(sampling, "int_det", lambda m: calls.append(1) or real(m))
+
+    def event(Y):
+        return column_is_isolated_double(Y, 1)
+
+    first = subset_family_mass(3, 3, event)
+    assert len(calls) == math.comb(27, 3)
+    second = subset_family_mass(3, 3, event)
+    assert len(calls) == math.comb(27, 3)
+    assert first == second == isolated_double_probability(3, 3, 1) == Fraction(128, 729)

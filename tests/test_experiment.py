@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rowsparse
 from rowsparse import experiment
 from rowsparse.cli import main
 from rowsparse.errors import InvalidInputError
@@ -284,3 +288,29 @@ def test_hypertree_campaign_smoke():
     assert all(rec.k == 0 for rec in records)
     assert all(not rec.det_zero for rec in records)
     assert report["config"]["k"] is None
+
+
+def test_identity_failures_survive_python_O():
+    # python -O strips assert statements; the checks raise IdentityError instead
+    script = (
+        "import rowsparse.structured as s\n"
+        "s.gram_determinant = lambda n, k: 0\n"
+        "from rowsparse.experiment import verify_suite\n"
+        "print({e['name']: e['status'] for e in verify_suite('fast')}['gram-identity'])\n"
+    )
+    src = str(Path(rowsparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["fail"]
+
+
+def test_growing_weight_campaign_smoke():
+    # --k-schedule pow:0.5 at n = 30 is k = 6: 30^6 host rows, never built
+    cfg = ExperimentConfig(n=30, trials=4, seed=5, k_schedule="pow:0.5", primes=(2, 3))
+    records, report = run_campaign(cfg)
+    assert report["config"]["k"] == 6
+    assert all(rec.k == 6 and not rec.det_zero and rec.free_rank == 0 for rec in records)
+    # 3 | k = 6, so the all-ones vector lies in the kernel mod 2 and mod 3
+    assert all(rec.sylow[2] and rec.sylow[3] for rec in records)

@@ -1,12 +1,17 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rowsparse.errors import DegenerateHostError, InvalidInputError, SizeLimitError
 from rowsparse.sampling import (
+    DEFAULT_CONFIG,
+    BasisResidual,
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
@@ -164,13 +169,116 @@ def test_exact_mode_item_guard():
 
 
 def test_float_size_guard():
-    # (30, 6) is --k-schedule pow:0.5 at n = 30 and (100, 5) is loglog:3 at n = 100
+    # (30, 6) is --k-schedule pow:0.5 at n = 30 and (100, 5) is loglog:3 at n = 100;
+    # the basis-sum path allocates only its n x n residual operator, so both draw
+    from rowsparse.snf import cokernel
+
     for n, k in ((30, 6), (100, 5)):
+        fam = BasisSumRows(n, k)
+        subset = sample_volume(fam, np.random.default_rng(0))
+        assert len(set(subset)) == n
+        mat = [fam.dense_row(fam.item_index(b)) for b in subset]
+        assert cokernel(mat).is_finite
+    # n^2 = 1.6e7 entries for the residual operator
+    with pytest.raises(SizeLimitError):
+        sample_volume(BasisSumRows(4000, 3), np.random.default_rng(0))
+    # the generic path still caps its dense Gram (columns^2 = 1.05e7 for both)
+    for host in (MatrixRows([[1] * 3240]), BoundaryRows(82, 2)):
         with pytest.raises(SizeLimitError):
-            sample_volume(BasisSumRows(n, k), np.random.default_rng(0))
+            sample_volume(host, np.random.default_rng(0))
     # the largest hosts the campaigns build stay within the guard
     for host in (BasisSumRows(12, 5), BoundaryRows(16, 2)):
         assert len(sample_volume(host, np.random.default_rng(0))) == host.ncols
+
+
+def _tuple_counts(b, n):
+    x = np.zeros(n)
+    for a in b:
+        x[a] += 1
+    return x
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    k=st.integers(3, 5),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.floats(0.0, 1.0, exclude_max=True),
+)
+def test_slot_conditionals_multiply_to_residual(n, k, seed, picks):
+    # after t picks, the slot-by-slot conditionals of tuple b multiply to r_b / (n - t)
+    res = BasisResidual(BasisSumRows(n, k))
+    rng = np.random.default_rng(seed)
+    t = int(picks * n)
+    for _ in range(t):
+        res.draw(rng, DEFAULT_CONFIG.reorthogonalization_tolerance)
+    for b in itertools.product(range(n), repeat=k):
+        slots = iter(b)
+        prob = [1.0]
+
+        def choose(weights):
+            a = next(slots)
+            total = sum(weights)
+            prob[0] *= weights[a] / total if total else 0.0
+            return a
+
+        res.walk(choose)
+        x = _tuple_counts(b, n)
+        assert prob[0] == pytest.approx(float(x @ res.q @ x) / (n - t), abs=1e-12)
+
+
+@pytest.mark.parametrize("n,k", [(30, 3), (12, 5), (100, 3)])
+def test_basis_sampler_mass_stays_on_its_invariant(n, k):
+    # sum_x r_x = alpha 1^T Q 1 + beta tr Q must read n - t after t picks
+    fam = BasisSumRows(n, k)
+    alpha, beta = k * (k - 1) * n ** (k - 2), k * n ** (k - 1)
+    tol = DEFAULT_CONFIG.reorthogonalization_tolerance
+    rng = np.random.default_rng([SEED, n, k])
+    worst = 0.0
+    for _ in range(200):
+        res = BasisResidual(fam)
+        for t in range(n + 1):
+            for mass in (alpha * res.q.sum() + beta * np.trace(res.q),
+                         alpha * res.ones + beta * res.trace):
+                worst = max(worst, abs(mass - (n - t)))
+            # the slot loop's diag Q and Q 1 track Q itself
+            lag = np.abs(np.array(res.diag) - np.diag(res.q)).max()
+            lag = max(lag, np.abs(np.array(res.q1) - res.q.sum(axis=1)).max())
+            worst = max(worst, beta * lag)
+            if t < n:
+                res.draw(rng, tol)  # raises DegenerateHostError instead of restarting
+    assert worst < 1e-9
+
+
+def test_basis_sampler_rejects_a_spent_tuple():
+    # once every row direction is picked, any further tuple has no residual left
+    for n in (1, 2):
+        res = BasisResidual(BasisSumRows(n, 3))
+        rng = np.random.default_rng(0)
+        for _ in range(n):
+            res.draw(rng, 1e-9)
+        with pytest.raises(DegenerateHostError):
+            res.draw(rng, 1e-9)
+
+
+@pytest.mark.parametrize("n,k,draws", [(2, 4, 50_000), (3, 4, 50_000)])
+def test_basis_sampler_matches_oracle(n, k, draws):
+    fam = cached_family(BasisSumRows, n, k)
+    dist = dict(enumerate_distribution(fam))
+    rng = np.random.default_rng([SEED, n, k])
+    counts = Counter(sample_volume(fam, rng) for _ in range(draws))
+    assert all(subset in dist for subset in counts), "zero-probability subset emitted"
+    tv = 0.5 * sum(abs(counts.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
+    floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
+    assert tv <= 1.5 * floor
+    inclusions = Counter()
+    for subset, c in counts.items():
+        for b in subset:
+            inclusions[b] += c
+    for i in range(fam.n_items):
+        p = float(fam.leverage_exact(i))
+        se = math.sqrt(p * (1.0 - p) / draws)
+        assert abs(inclusions[fam.item(i)] / draws - p) <= 4.5 * se
 
 
 def test_cached_family_shares_hosts():
