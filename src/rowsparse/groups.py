@@ -1,4 +1,4 @@
-"""Finite abelian groups: automorphism counts, Hom/Sur counting, Cohen-Lenstra weights.
+"""Finite abelian groups: automorphisms, Hom/Sur counting, Cohen-Lenstra weights.
 
 Groups are carried as invariant-factor chains d_1 | d_2 | ... (all >= 2).
 Element-level work (subgroup lattices, Moebius inversion) enumerates tuples,
@@ -12,6 +12,7 @@ from functools import lru_cache
 from .errors import InvalidInputError, SizeLimitError
 
 SUBGROUP_ORDER_LIMIT = 10**4
+AUTOMORPHISM_LIMIT = 10**4
 
 
 def _prime_factors(m):
@@ -148,12 +149,6 @@ class FiniteAbelianGroup:
     def scale(self, m, a):
         return tuple((m * x) % d for x, d in zip(a, self.divisors))
 
-    def element_order(self, a):
-        o = 1
-        for x, d in zip(a, self.divisors):
-            o = math.lcm(o, d // math.gcd(x, d))
-        return o
-
     def generated(self, gens):
         """Subgroup generated by the given elements, as a frozenset."""
         cur = {self.zero}
@@ -244,6 +239,33 @@ def aut_order(G):
     for p, lam in G.primary_partitions().items():
         total *= _aut_order_p_group(p, lam)
     return total
+
+
+@lru_cache(maxsize=64)
+def automorphisms(G):
+    """Aut(G) as permutations of element indices: p[i] indexes the image of G.elements[i].
+
+    The image h_j of the j-th standard generator must satisfy d_j h_j = 0; the
+    choice is kept when x -> sum_j x_j h_j stays injective on the span of the
+    generators chosen so far.
+    """
+    if aut_order(G) > AUTOMORPHISM_LIMIT:
+        raise SizeLimitError(f"|Aut({G.label()})| exceeds {AUTOMORPHISM_LIMIT}")
+    els = G.elements
+
+    def extend(j, images):  # images of the span of generators < j, in element order
+        if j == G.rank:
+            yield tuple(G.index(y) for y in images)
+            return
+        d = G.divisors[j]
+        for h in els:
+            if G.scale(d, h) != G.zero:
+                continue
+            new = [G.add(y, G.scale(c, h)) for y in images for c in range(d)]
+            if len(set(new)) == len(new):
+                yield from extend(j + 1, new)
+
+    return tuple(extend(0, [G.zero]))
 
 
 def hom_count_cokernel(divisors, free_rank, B):

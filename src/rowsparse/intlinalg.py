@@ -40,29 +40,6 @@ def int_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def frac_det(rows):
-    """Exact determinant of a square matrix of Fractions (or ints)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInputError("matrix is not square")
-    a = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for r in range(c + 1, n):
-            if a[r][c]:
-                f = a[r][c] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
-
-
 def frac_inverse(rows):
     """Exact inverse of a square matrix as Fractions; raises on singular input."""
     n = len(rows)

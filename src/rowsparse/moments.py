@@ -5,12 +5,16 @@ n x n matrix A exactly when the chosen rows all lie in the q-sum-zero slice
 of the family. That probability depends on q only through its type vector
 (the histogram of its entries) and has a closed form:
 
-    P(A q = 0) = det(M) * prod_a w(a)^(n_a - 1) / (k * n^((k-1) n)),
+    P(A q = 0) = det(D C) * prod_a w(a)^(n_a - 1) / (k * n^((k-1) n)),
 
-where w(a) = n(k-1)_a counts (k-1)-tuples of entries summing to -a, and M is
-a small symmetric matrix over the support of the type. Summing over types
-whose support generates G gives the expected number of surjections
-cok(A) -> G exactly, in rational arithmetic.
+where w(a) = n(k-1)_a counts (k-1)-tuples of entries summing to -a,
+D = diag(n_a) and D C is an integer matrix over the support of the type
+(see TypeMatrix), so the determinant is a fraction-free Bareiss elimination.
+Summing over types whose support generates G gives the expected number of
+surjections cok(A) -> G exactly. P(A q = 0) is invariant under Aut(G), so the
+sweep visits one type per Aut(G)-orbit, weights it by the orbit size, and
+sums integer numerators over the shared denominator k n^((k-1) n) into one
+Fraction at the end.
 """
 
 import itertools
@@ -18,12 +22,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError, UndefinedFormError
-from .groups import FiniteAbelianGroup
-from .intlinalg import frac_det
+from .groups import FiniteAbelianGroup, automorphisms
+from .intlinalg import int_det
 
 TYPE_VECTOR_LIMIT = 10**7
 BRUTEFORCE_LIMIT = 10**7
@@ -58,22 +63,18 @@ class TypeVector:
         return tuple(els[i] for i, c in enumerate(self.counts) if c > 0)
 
 
-def _neg_table(G):
+@lru_cache(maxsize=64)
+def _tables(G):
+    """(add, neg): index tables of G's addition and negation, built once per group."""
     els = G.elements
-    return [G.index(G.neg(e)) for e in els]
-
-
-def _add_table(G):
-    els = G.elements
-    return [[G.index(G.add(a, b)) for b in els] for a in els]
+    add = tuple(tuple(G.index(G.add(a, b)) for b in els) for a in els)
+    return add, tuple(G.index(G.neg(e)) for e in els)
 
 
 def _conv_arrays(tv, upto):
     """n(ell)_a for ell = 1..upto, as lists indexed like G.elements."""
-    G = tv.group
-    g = G.order
-    neg = _neg_table(G)
-    add = _add_table(G)
+    g = tv.group.order
+    add, neg = _tables(tv.group)
     counts = tv.counts
     tables = [None, [counts[neg[a]] for a in range(g)]]
     for _ in range(2, upto + 1):
@@ -92,94 +93,76 @@ def convolution_powers(tv, ell):
     return {e: table[i] for i, e in enumerate(tv.group.elements)}
 
 
+def _scaled_factor(tv, sup, conv):
+    """Rows of the integer matrix D C over the support sup (see TypeMatrix)."""
+    k, counts = tv.k, tv.counts
+    add = _tables(tv.group)[0]
+    nk2, nk1 = conv[k - 2], conv[k - 1]
+    return [
+        [(k - 1) * counts[a] * nk2[add[a][b]] + (nk1[a] if a == b else 0) for b in sup]
+        for a in sup
+    ]
+
+
 @dataclass(frozen=True)
 class TypeMatrix:
     """Symmetric matrix attached to a type vector, via the congruent rational factor.
 
-    M = D^(1/2) C D^(1/2) with D = diag(n_a) over the support; C is rational
-    symmetric, so det(M) = prod(n_a) * det(C) needs no square roots and is an
-    exact (integer-valued) rational.
+    M = D^(1/2) C D^(1/2) with D = diag(n_a) over the support (the weights) and
+    C rational symmetric: C_aa = (k-1) n(k-2)_2a + n(k-1)_a / n_a and
+    C_ab = (k-1) n(k-2)_(a+b). So det(M) = det(D C) needs no square roots, and
+    D C is an integer matrix: the exact integer det is its Bareiss determinant.
     """
 
     elements: tuple
     C: tuple
-    det: Fraction
+    det: int
     diag: tuple
+    weights: tuple
 
     @classmethod
     def build(cls, tv):
-        G = tv.group
-        k = tv.k
-        add = _add_table(G)
-        tables = _conv_arrays(tv, k - 1)
-        nk2 = tables[k - 2]
-        nk1 = tables[k - 1]
         sup = [i for i, c in enumerate(tv.counts) if c > 0]
-        c_rows = []
-        diag = []
-        for a in sup:
-            row = []
-            for b in sup:
-                if a == b:
-                    row.append(
-                        Fraction((k - 1) * tv.counts[a] * nk2[add[a][a]] + nk1[a], tv.counts[a])
-                    )
-                else:
-                    row.append(Fraction((k - 1) * nk2[add[a][b]]))
-            c_rows.append(tuple(row))
-            diag.append((k - 1) * tv.counts[a] * nk2[add[a][a]] + nk1[a])
-        det = frac_det([list(r) for r in c_rows])
-        for a in sup:
-            det *= tv.counts[a]
-        els = G.elements
+        dc = _scaled_factor(tv, sup, _conv_arrays(tv, tv.k - 1))
+        weights = tuple(tv.counts[a] for a in sup)
+        els = tv.group.elements
         return cls(
             elements=tuple(els[i] for i in sup),
-            C=tuple(c_rows),
-            det=det,
-            diag=tuple(diag),
+            C=tuple(tuple(Fraction(x, w) for x in row) for row, w in zip(dc, weights)),
+            det=int_det(dc),
+            diag=tuple(row[i] for i, row in enumerate(dc)),
+            weights=weights,
         )
 
     def leading_minors_of_factor(self):
-        """Determinants of the leading principal blocks of C (all >= 0 iff PSD)."""
+        """Leading principal minors of C (all >= 0 iff PSD), from those of D C over prod n_a."""
         out = []
         for size in range(1, len(self.C) + 1):
-            out.append(frac_det([list(r[:size]) for r in self.C[:size]]))
+            w = self.weights[:size]
+            block = [[int(x * wa) for x in row[:size]] for row, wa in zip(self.C, w)]
+            out.append(Fraction(int_det(block), math.prod(w)))
         return out
 
 
 def annihilation_probability(tv):
     """Exact P(A q = 0) for any fixed tuple q of this type."""
-    G = tv.group
-    k = tv.k
-    n = tv.n
+    k, n = tv.k, tv.n
     tables = _conv_arrays(tv, k - 1)
     nk1 = tables[k - 1]
     sup = [i for i, c in enumerate(tv.counts) if c > 0]
     if any(nk1[a] == 0 for a in sup):
         # a whole row of M vanishes, so det(M) = 0
         return Fraction(0)
-    mm = TypeMatrix.build(tv)
-    num = mm.det
+    num = int_det(_scaled_factor(tv, sup, tables))
     for a in sup:
         num *= nk1[a] ** (tv.counts[a] - 1)
-    return num / (k * n ** ((k - 1) * n))
+    return Fraction(num, k * n ** ((k - 1) * n))
 
 
 def expected_annihilated_exact(tv):
     """E(number of annihilated tuples of this type) = multinomial * P(A q = 0)."""
-    mult = math.factorial(tv.n)
-    for c in tv.counts:
-        mult //= math.factorial(c)
+    mult = math.factorial(tv.n) // math.prod(map(math.factorial, tv.counts))
     return mult * annihilation_probability(tv)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
 
 
 def _generates(G, support_indices):
@@ -188,24 +171,49 @@ def _generates(G, support_indices):
     return len(G.generated(gens)) == G.order
 
 
+def type_orbits(G, n):
+    """(type, orbit size) for the lexicographically largest type of each Aut(G)-orbit
+    of compositions of n; the orbit has |Aut| / |Stab| members. Above
+    AUTOMORPHISM_LIMIT the identity alone acts."""
+    try:
+        auts = automorphisms(G)
+    except SizeLimitError:
+        auts = (tuple(range(G.order)),)
+    g = G.order
+    for bars in itertools.combinations(range(n + g - 1), g - 1):  # stars and bars
+        counts = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + g - 1,)))
+        if any(tuple(counts[i] for i in p) > counts for p in auts):
+            continue
+        stab = sum(1 for p in auts if tuple(counts[i] for i in p) == counts)
+        yield counts, len(auts) // stab
+
+
 def surjection_moment_exact(G, n, k):
-    """E(#Sur(cok(A), G)) as an exact rational, by summing over type vectors."""
+    """E(#Sur(cok(A), G)) as an exact rational, summed over Aut(G)-orbits of types."""
+    if n < 1 or k < 3:
+        raise InvalidInputError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
     g = G.order
     if math.comb(n + g - 1, g - 1) > TYPE_VECTOR_LIMIT:
         raise SizeLimitError("too many type vectors for the exact sweep")
     if g == 1:
         return Fraction(1)
-    total = Fraction(0)
-    for counts in _compositions(n, g):
-        sup = [i for i, c in enumerate(counts) if c > 0]
-        if not _generates(G, sup):
-            continue
-        total += expected_annihilated_exact(TypeVector(G, counts, k))
-    return total
+    denom = k * n ** ((k - 1) * n)  # every type weight's denominator divides it
+    generates = {}
+    num = 0
+    for counts, size in type_orbits(G, n):
+        sup = tuple(i for i, c in enumerate(counts) if c > 0)
+        if sup not in generates:
+            generates[sup] = _generates(G, sup)
+        if generates[sup]:
+            value = expected_annihilated_exact(TypeVector(G, counts, k))
+            num += size * value.numerator * (denom // value.denominator)
+    return Fraction(num, denom)
 
 
 def surjection_moment_bruteforce(G, n, k):
     """Same moment by enumerating every generating tuple q in G^n individually."""
+    if n < 1 or k < 3:
+        raise InvalidInputError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
     g = G.order
     if g**n > BRUTEFORCE_LIMIT:
         raise SizeLimitError("G^n too large for brute force")
@@ -214,19 +222,12 @@ def surjection_moment_bruteforce(G, n, k):
     cache = {}
     total = Fraction(0)
     for q in itertools.product(range(g), repeat=n):
-        counts = [0] * g
-        for x in q:
-            counts[x] += 1
-        key = tuple(counts)
+        key = tuple(map(q.count, range(g)))
         if key not in cache:
-            sup = [i for i, c in enumerate(counts) if c > 0]
-            if not _generates(G, sup):
-                cache[key] = None
-            else:
-                cache[key] = annihilation_probability(TypeVector(G, key, k))
-        p = cache[key]
-        if p is not None:
-            total += p
+            sup = [i for i, c in enumerate(key) if c > 0]
+            generating = _generates(G, sup)
+            cache[key] = annihilation_probability(TypeVector(G, key, k)) if generating else 0
+        total += cache[key]
     return total
 
 
@@ -439,8 +440,7 @@ def kl_curvature_check(G, k, gradient_step=1e-4, hessian_step=1e-3):
     d = g - 1
     if d == 0:
         return 0.0, 0.0
-    add = np.array(_add_table(G))
-    neg = np.array(_neg_table(G))
+    add, neg = (np.array(t) for t in _tables(G))
     x0 = np.full(d, 1.0 / g)
 
     def f(x):

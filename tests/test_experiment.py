@@ -276,6 +276,13 @@ def test_cli_invalid_input_is_reported(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_moment_exact_rejects_invalid_input(capsys):
+    for n, k in (("0", "3"), ("-1", "3"), ("4", "2")):
+        assert main(["moment-exact", "--group", "2", "--n", n, "--k", k]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "exact" not in captured.out
+
+
 def test_cli_size_limit_is_reported(capsys):
     argv = ["moment-exact", "--group", "2,2,2,2,2,2,2", "--n", "40", "--k", "3"]
     assert main(argv) == 2

@@ -1,18 +1,22 @@
 import itertools
+import math
 import random
 
 import pytest
 
 from rowsparse.errors import InvalidInputError, SizeLimitError
 from rowsparse.groups import (
+    AUTOMORPHISM_LIMIT,
     FiniteAbelianGroup,
     aut_order,
+    automorphisms,
     cl_corank_probability,
     cl_probability,
     hom_count_cokernel,
     p_groups_up_to,
     sur_count_cokernel,
 )
+from rowsparse.moments import type_orbits
 
 
 def all_homs(A, B):
@@ -108,6 +112,54 @@ def test_aut_order_multiplicative_over_primes():
         for p, lam in G.primary_partitions().items():
             expected *= aut_order(FiniteAbelianGroup.from_partition(p, lam))
         assert aut_order(G) == expected
+
+
+# every abelian group of order <= 16 whose |Aut| is within AUTOMORPHISM_LIMIT;
+# (Z/2)^4, with |Aut| = 20160, is checked against the limit below
+SMALL_GROUPS = [(d,) for d in range(1, 17)] + [
+    (2, 2), (2, 4), (2, 2, 2), (3, 3), (2, 6), (4, 4), (2, 8), (2, 2, 4),
+]
+
+
+@pytest.mark.parametrize("divisors", SMALL_GROUPS)
+def test_automorphisms_are_the_bijective_homomorphisms(divisors):
+    G = FiniteAbelianGroup(tuple(d for d in divisors if d > 1))
+    els = G.elements
+    add = [[G.index(G.add(a, b)) for b in els] for a in els]
+    auts = automorphisms(G)
+    assert len(auts) == len(set(auts)) == aut_order(G)
+    assert tuple(range(G.order)) in auts
+    for p in auts:
+        assert sorted(p) == list(range(G.order))
+        for i in range(G.order):
+            for j in range(G.order):
+                assert p[add[i][j]] == add[p[i]][p[j]]
+
+
+@pytest.mark.parametrize("divisors", SMALL_GROUPS)
+def test_type_orbits_partition_the_compositions(divisors):
+    G = FiniteAbelianGroup(tuple(d for d in divisors if d > 1))
+    g = G.order
+    auts = automorphisms(G)
+    for n in (1, 2, 3):
+        expected = {}
+        for multiset in itertools.combinations_with_replacement(range(g), n):
+            counts = tuple(multiset.count(i) for i in range(g))
+            orbit = {tuple(counts[i] for i in p) for p in auts}
+            expected[max(orbit)] = len(orbit)
+        reps = list(type_orbits(G, n))
+        assert dict(reps) == expected and len(reps) == len(expected)
+        assert sum(size for _, size in reps) == math.comb(n + g - 1, g - 1)
+
+
+def test_automorphisms_guard():
+    G = FiniteAbelianGroup((2, 2, 2, 2))
+    assert aut_order(G) > AUTOMORPHISM_LIMIT
+    with pytest.raises(SizeLimitError):
+        automorphisms(G)
+    # the orbit sweep then lets the identity alone act: every type is its own orbit
+    reps = list(type_orbits(G, 2))
+    assert len(reps) == math.comb(17, 15) and all(size == 1 for _, size in reps)
 
 
 def test_hom_count_examples():

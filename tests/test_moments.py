@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rowsparse import moments
 from rowsparse.errors import InvalidInputError, UndefinedFormError
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.intlinalg import int_det
@@ -197,6 +198,78 @@ def test_moment_equals_sum_over_generating_types():
             continue  # support {0} does not generate
         total += expected_annihilated_exact(TypeVector(G, counts, k))
     assert total == surjection_moment_exact(G, n, k)
+
+
+def orbit_free_moment(G, n, k):
+    """The exact moment summed over every generating type, with no orbit reduction."""
+    g = G.order
+    total = Fraction(0)
+    for multiset in itertools.combinations_with_replacement(range(g), n):
+        if len(G.generated([G.elements[i] for i in set(multiset)])) == g:
+            counts = tuple(multiset.count(i) for i in range(g))
+            total += expected_annihilated_exact(TypeVector(G, counts, k))
+    return total
+
+
+@pytest.mark.parametrize("divisors", [(4,), (5,), (2, 4), (3, 3), (2, 2, 2)])
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_orbit_sweep_matches_orbit_free_sum(divisors, k):
+    G = FiniteAbelianGroup(divisors)
+    for n in range(1, 6):
+        exact = surjection_moment_exact(G, n, k)
+        assert exact == orbit_free_moment(G, n, k)
+        if G.order**n <= 10**5:
+            assert exact == surjection_moment_bruteforce(G, n, k)
+
+
+def test_orbit_sweep_above_the_automorphism_limit():
+    G = FiniteAbelianGroup((2, 2, 2, 2))  # |Aut| = 20160: the identity alone acts
+    for n in (1, 2, 3):
+        assert surjection_moment_exact(G, n, 3) == surjection_moment_bruteforce(G, n, 3)
+
+
+def test_sweep_calls_the_type_weight_once_per_orbit(monkeypatch):
+    # the weight is looked up as a module attribute, so a patched one is counted
+    calls = []
+    original = moments.expected_annihilated_exact
+
+    def counted(tv):
+        calls.append(tv.counts)
+        return original(tv)
+
+    monkeypatch.setattr(moments, "expected_annihilated_exact", counted)
+    G = FiniteAbelianGroup((2, 2))
+    value = surjection_moment_exact(G, 6, 3)
+    reps = [c for c, _ in moments.type_orbits(G, 6)
+            if len(G.generated([G.elements[i] for i, x in enumerate(c) if x])) == 4]
+    assert calls == reps and len(reps) < math.comb(9, 3)
+    assert value == surjection_moment_bruteforce(G, 6, 3)
+
+
+@pytest.mark.parametrize("moment", [surjection_moment_exact, surjection_moment_bruteforce])
+@pytest.mark.parametrize(
+    "G, n, k",
+    [(Z2, 0, 3), (Z2, -1, 3), (Z2, 4, 2), (FiniteAbelianGroup(()), 5, 2),
+     (FiniteAbelianGroup(()), 0, 3)],
+)
+def test_moment_rejects_invalid_input(moment, G, n, k):
+    with pytest.raises(InvalidInputError):
+        moment(G, n, k)
+
+
+def test_type_matrix_is_integer_and_factors_through_d():
+    rng = random.Random(5)
+    for _ in range(200):
+        G = random.choice([Z2, Z3, V4, FiniteAbelianGroup((5,))])
+        k = random.choice([3, 4, 5])
+        tv = random_type(rng, G, rng.randrange(1, 12), k)
+        mm = TypeMatrix.build(tv)
+        assert isinstance(mm.det, int)
+        assert mm.weights == tuple(c for c in tv.counts if c > 0)
+        assert mm.leading_minors_of_factor()[-1] * math.prod(mm.weights) == mm.det
+        for i, (row, w) in enumerate(zip(mm.C, mm.weights)):
+            assert all((x * w).denominator == 1 for x in row)  # D C is integral
+            assert mm.diag[i] == row[i] * w
 
 
 def test_measures_example_and_normalization():
