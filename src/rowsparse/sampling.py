@@ -1,28 +1,27 @@
 """Volume sampling of row subsets: P(Y) = det(host[Y])^2 / det(host^T host).
 
-The sampler is the sequential conditional scheme for projection determinantal
-kernels. With W = (host^T host)^{-1} and K(x, y) = row_x^T W row_y, the
-kernel K is a rank-m projection (m = column count), so drawing one item per
-step with probability proportional to its residual kernel mass
+One algorithm serves every host: the chain rule for projection determinantal
+measures (Lyons 2003). With W = (host^T host)^{-1}, the kernel
+K(x, y) = x^T W y is a rank-m projection (m = column count). A draw keeps the
+m x m residual operator Q, starting at W, so row x carries the residual mass
+r_x = x^T Q x, and sum_x r_x = m - t after t picks. Each step picks a row with
+probability proportional to r_x and conditions on it: with
+g = Q x / sqrt(x^T Q x) it sets Q -= g g^T, and each row's residual drops by
+(x_i . g)^2. A float pick with x^T Q x <= RESIDUAL_TOLERANCE x K(x, x) raises
+DegenerateHostError; no path restarts a draw.
 
-    r_x = K(x, x) - sum_j <row_x, c_j>^2,   c_j = W v_j,
+Three host structures. Explicit rows (`MatrixRows`) take W as a dense
+inverse and track every row's residual in padded sparse arrays
+(`RowResidual`): O(m^3 + N * m * nnz) time per draw for N rows. Boundary rows
+(`BoundaryRows`) take the same path on the closed forms
+W = ((n+1) I - Gram) / n and K(x, x) = (r+1)/n. Basis-sum rows
+(`BasisSumRows`) take W = (I - gamma J) / beta, never build their n^k rows,
+and draw each tuple one slot at a time from exact marginals of Q
+(`BasisResidual`): O(n^3 + k n^2) time per draw.
 
-where the v_j are the W-orthonormalized directions of the already chosen
-rows, realizes the squared-determinant measure exactly. Residual totals
-telescope: sum_x r_x = m - t after t picks.
-
-Each host structure has one float64 sampler (`sample_float`):
-
-* the generic path (`BoundaryRows`, `MatrixRows`) keeps every row's residual
-  in padded sparse arrays and downdates each row through its support, so a
-  draw costs O(N * m * nnz) time and O(N * nnz + m^2) memory for N rows;
-* the basis-sum host (`BasisSumRows`) never builds its n^k rows. It keeps
-  the n x n residual operator Q of the dual space, r_b = x_b^T Q x_b, and
-  draws each tuple one slot at a time from exact marginals (`BasisResidual`),
-  so a draw costs O(n^3 + k n^2) time and O(n^2) memory.
-
-An exact-rational path, generic over hosts, covers micro instances, and the
-enumeration oracle is exact always.
+Two arithmetics: float64 (`sample_float`, one per host structure) and exact
+rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
+downdate Q -= (Q x)(Q x)^T / x^T Q x). The enumeration oracle is exact.
 """
 
 import itertools
@@ -51,19 +50,18 @@ EXACT_ITEM_LIMIT = 10**5
 # residual operator (n^2)
 FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
+# a float pick must keep more than this share of its leverage as residual mass
+RESIDUAL_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     seed: int = 0
     precision_mode: str = "float64"
-    reorthogonalization_tolerance: float = 1e-9
 
     def __post_init__(self):
         if self.precision_mode not in ("float64", "exact"):
             raise InvalidInputError(f"unknown precision mode {self.precision_mode!r}")
-        if not 0.0 < self.reorthogonalization_tolerance <= 1e-6:
-            raise InvalidInputError("tolerance must lie in (0, 1e-6]")
 
 
 DEFAULT_CONFIG = SamplerConfig()
@@ -74,6 +72,19 @@ def _check_float_entries(entries):
         raise SizeLimitError(
             f"float mode caps its arrays at {FLOAT_ENTRY_LIMIT} entries, this host needs {entries}"
         )
+
+
+def _condition(q, qx, xqx, leverage):
+    """Set q -= g g^T in place with g = Q x / sqrt(x^T Q x), and return g.
+
+    Raises DegenerateHostError unless x^T Q x > RESIDUAL_TOLERANCE x leverage:
+    float drift has left mass on a row the exact measure gives none.
+    """
+    if not xqx > RESIDUAL_TOLERANCE * leverage:  # also rejects NaN
+        raise DegenerateHostError(f"drawn row kept residual {xqx:.3e} of leverage {leverage:.3e}")
+    g = qx / math.sqrt(xqx)
+    q -= np.outer(g, g)
+    return g
 
 
 def _as_rng(rng, config):
@@ -87,10 +98,9 @@ def _as_rng(rng, config):
 class RowFamily:
     """A finite family of integer rows in R^m supporting sparse projections.
 
-    Subclasses fill in: n_items, ncols, item(i), sparse_row(i).
-    `coords`/`vals` give the padded sparse layout used by the generic
-    vectorized float path; a subclass with more structure overrides
-    `sample_float`.
+    Subclasses fill in: n_items, ncols, item(i), sparse_row(i). The generic
+    float path (`RowResidual`) reads the rows as padded sparse arrays; a
+    subclass with more structure overrides `sample_float`.
     """
 
     n_items = 0
@@ -152,11 +162,11 @@ class RowFamily:
 
     def _gram_inv_float(self):
         if not hasattr(self, "_winv"):
-            g = np.array(self.gram(), dtype=np.float64)
-            try:
-                self._winv = np.linalg.inv(g)
-            except np.linalg.LinAlgError:
-                self._winv = np.linalg.pinv(g)
+            gram = np.array(self.gram(), dtype=np.float64)
+            # LU can invert a singular integer Gram without raising, from rounding
+            if np.linalg.matrix_rank(gram) < self.ncols:
+                raise DegenerateHostError("host Gram matrix is singular")
+            self._winv = np.linalg.inv(gram)
         return self._winv
 
     def leverage_float(self):
@@ -172,54 +182,11 @@ class RowFamily:
             self._lev = lev
         return self._lev
 
-    def sample_float(self, rng, config):
+    def sample_float(self, rng):
         """Float64 chain-rule draw over the padded sparse rows of the whole host."""
-        m = self.ncols
-        n_items = self.n_items
-        _check_float_entries(max(n_items * self.row_width(), m * m))
-        tol = config.reorthogonalization_tolerance
-        base = self.leverage_float()
-        coords, vals = self._sparse_arrays()
-        winv = self._gram_inv_float()
-        for attempt in range(3):
-            r = base.copy()
-            chosen = []
-            dirs_v = []
-            dirs_c = []
-            ok = True
-            for _ in range(m):
-                np.clip(r, 0.0, None, out=r)
-                if chosen:
-                    r[np.array(chosen)] = 0.0
-                total = r.sum()
-                if total <= tol:
-                    ok = False
-                    break
-                cum = np.cumsum(r)
-                u = rng.random() * cum[-1]
-                j = int(np.searchsorted(cum, u, side="right"))
-                j = min(j, n_items - 1)
-                chosen.append(j)
-                v = np.array(self.dense_row(j), dtype=np.float64)
-                passes = 2 if attempt > 0 else 1
-                for _ in range(passes):
-                    for vv, cc in zip(dirs_v, dirs_c):
-                        v -= (v @ cc) * vv
-                c = winv @ v
-                norm2 = float(v @ c)
-                if norm2 <= tol:
-                    ok = False
-                    break
-                scale = math.sqrt(norm2)
-                v /= scale
-                c = c / scale
-                dirs_v.append(v)
-                dirs_c.append(c)
-                proj = (c[coords] * vals).sum(axis=1)  # every row's dot product with c
-                r -= proj * proj
-            if ok:
-                return tuple(sorted(self.item(j) for j in chosen))
-        raise DegenerateHostError("residual mass vanished before a full subset was chosen")
+        _check_float_entries(max(self.n_items * self.row_width(), self.ncols**2))
+        residual = RowResidual(self)
+        return tuple(sorted(self.item(residual.draw(rng)) for _ in range(self.ncols)))
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -231,10 +198,6 @@ class RowFamily:
                 raise DegenerateHostError("host Gram matrix is singular") from exc
         return self._winv_exact
 
-    def gram_inv_apply_exact(self, vec):
-        w = self._gram_inv_exact()
-        return [sum(wr[j] * vec[j] for j in range(self.ncols)) for wr in w]
-
     def leverage_exact(self, i):
         """K(i, i) = row_i^T (host^T host)^{-1} row_i as an exact rational."""
         w = self._gram_inv_exact()
@@ -244,6 +207,34 @@ class RowFamily:
             for b, vb in sr:
                 total += va * vb * w[a][b]
         return total
+
+
+class RowResidual:
+    """The state of a float chain-rule draw over a host's padded sparse rows.
+
+    q is the m x m residual operator and r[i] = x_i^T Q x_i the residual mass
+    of row i, tracked by downdates, clipped at zero and zero on picked rows.
+    """
+
+    def __init__(self, family):
+        self.coords, self.vals = family._sparse_arrays()
+        self.leverage = family.leverage_float()
+        self.q = family._gram_inv_float().copy()
+        self.r = self.leverage.copy()
+
+    def draw(self, rng):
+        """Pick one row with probability r_i / sum r, condition on it and return its index."""
+        r = self.r
+        cum = np.cumsum(r)
+        j = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(r) - 1)
+        cj, vj = self.coords[j], self.vals[j]
+        qx = vj @ self.q[cj]
+        g = _condition(self.q, qx, float(qx[cj] @ vj), self.leverage[j])
+        proj = (g[self.coords] * self.vals).sum(axis=1)  # every row's dot product with g
+        r -= proj * proj
+        np.clip(r, 0.0, None, out=r)
+        r[j] = 0.0
+        return j
 
 
 class BasisSumRows(RowFamily):
@@ -289,31 +280,30 @@ class BasisSumRows(RowFamily):
     def gram_det(self):
         return gram_determinant(self.n, self.k)
 
-    def gram_inv_apply_exact(self, vec):
-        s = sum(vec)
-        return [Fraction(v - self._gamma * s, self._beta) for v in vec]
+    def _gram_inv_exact(self):
+        return [
+            [Fraction((a == b) - self._gamma, self._beta) for b in range(self.n)]
+            for a in range(self.n)
+        ]
 
     def leverage_exact(self, i):
         sq = sum(v * v for _, v in self.sparse_row(i))
         return Fraction(sq - self._gamma * self.k**2, self._beta)
 
-    def sample_float(self, rng, config):
+    def sample_float(self, rng):
         """Chain-rule draw in the n-dimensional dual space; no host row is built."""
         _check_float_entries(self.n * self.n)
         residual = BasisResidual(self)
-        tol = config.reorthogonalization_tolerance
-        return tuple(sorted(residual.draw(rng, tol) for _ in range(self.n)))
+        return tuple(sorted(residual.draw(rng) for _ in range(self.n)))
 
 
 class BasisResidual:
     """The residual operator Q of a basis-sum chain-rule draw.
 
-    After t picks the residual kernel mass of tuple b is r_b = x_b^T Q x_b,
-    where x_b is b's count vector. Q starts at W = (I - gamma J) / beta and
-    each pick x downdates it by g g^T with g = Q x / sqrt(x^T Q x). Beside Q
-    (n x n, numpy) the slot loop reads diag Q and Q 1 as Python lists and
-    tr Q and 1^T Q 1 as floats, so that a slot costs O(n) Python float work
-    without numpy per-call overhead.
+    Tuple b carries the residual mass r_b = x_b^T Q x_b, x_b its count vector.
+    Beside Q (n x n, numpy) the slot loop reads diag Q and Q 1 as Python lists
+    and tr Q and 1^T Q 1 as floats, so that a slot costs O(n) Python float
+    work without numpy per-call overhead.
     """
 
     def __init__(self, family):
@@ -360,13 +350,8 @@ class BasisResidual:
             slots.append(a)
         return slots, qx, xqx
 
-    def draw(self, rng, tol):
-        """Draw one tuple from the residual measure and condition Q on it.
-
-        Raises DegenerateHostError when the drawn tuple's residual is at most
-        tol times its own closed-form leverage, i.e. when float drift has
-        left mass on a tuple the exact measure gives none.
-        """
+    def draw(self, rng):
+        """Draw one tuple from the residual measure and condition Q on it (`_condition`)."""
         uniforms = iter(rng.random(self.k).tolist())
 
         def choose(weights):
@@ -385,14 +370,8 @@ class BasisResidual:
 
         slots, qx, xqx = self.walk(choose)
         leverage = (sum(map(slots.count, slots)) - self.leverage_shift) / self.beta
-        if xqx <= tol * leverage:
-            raise DegenerateHostError(
-                f"drawn tuple kept residual {xqx:.3e} against leverage {leverage:.3e}"
-            )
-        # Q -= g g^T with g = Q x / sqrt(x^T Q x), and the slot loop's aggregates with it
-        g = np.array(qx) / math.sqrt(xqx)
-        self.q -= np.outer(g, g)
-        g = g.tolist()
+        g = _condition(self.q, np.array(qx), xqx, leverage).tolist()
+        # the slot loop's aggregates follow Q -= g g^T
         sg = sum(g)
         self.diag = [d - x * x for d, x in zip(self.diag, g)]
         self.q1 = [o - x * sg for o, x in zip(self.q1, g)]
@@ -420,13 +399,39 @@ class BoundaryRows(RowFamily):
         return self._row_faces[i]
 
     def item_index(self, face):
-        return self._face_index[tuple(face)]
+        try:
+            return self._face_index[tuple(face)]
+        except (KeyError, TypeError):
+            raise InvalidInputError(f"{face!r} is not a row face of this host") from None
 
     def sparse_row(self, i):
         face = self._row_faces[i]
         return tuple(
             (self._col_index[S], sign) for S, sign in boundary_column_sparse(self.n, self.r, face)
         )
+
+    # The boundary Gram has exactly the eigenvalues 1 and n: K projects onto
+    # the S_n-invariant coboundary space (Lyons 2003; Kalai 1983). So
+    # W = ((n+1) I - Gram) / n and every row has leverage (r+1)/n.
+
+    def _gram_inv_float(self):
+        if not hasattr(self, "_winv"):
+            gram = np.array(self.gram(), dtype=np.float64)
+            self._winv = ((self.n + 1) * np.eye(self.ncols) - gram) / self.n
+        return self._winv
+
+    def _gram_inv_exact(self):
+        n = self.n
+        return [
+            [Fraction((n + 1) * (a == b) - x, n) for b, x in enumerate(row)]
+            for a, row in enumerate(self.gram())
+        ]
+
+    def leverage_float(self):
+        return np.full(self.n_items, (self.r + 1) / self.n)
+
+    def leverage_exact(self, i):
+        return Fraction(self.r + 1, self.n)
 
 
 class MatrixRows(RowFamily):
@@ -446,6 +451,8 @@ class MatrixRows(RowFamily):
         return i
 
     def item_index(self, i):
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < self.n_items):
+            raise InvalidInputError(f"row index {i!r} outside [0, {self.n_items})")
         return int(i)
 
     def sparse_row(self, i):
@@ -482,32 +489,24 @@ def _sample_volume_exact(family, rng):
         raise SizeLimitError(
             f"exact mode caps the item count at {EXACT_ITEM_LIMIT}, got {family.n_items}"
         )
-    m = family.ncols
+    q = [list(row) for row in family._gram_inv_exact()]
     r = [family.leverage_exact(i) for i in range(family.n_items)]
     sparse_rows = [family.sparse_row(i) for i in range(family.n_items)]
     chosen = []
-    dirs = []  # (residual direction v, c = W v, norm2 = v^T W v), unnormalized
-    for _ in range(m):
-        total = sum(r)
-        if total == 0:
-            raise DegenerateHostError("exact residuals vanished: host is rank deficient")
-        j = _exact_categorical(r, total, rng)
+    for _ in range(family.ncols):
+        # exact residuals vanish on spent rows, so every pick keeps x^T Q x > 0
+        j = _exact_categorical(r, sum(r), rng)
         chosen.append(j)
-        v = [Fraction(x) for x in family.dense_row(j)]
-        for vv, cc, nn in dirs:
-            coef = sum(a * b for a, b in zip(v, cc)) / nn
-            v = [a - coef * b for a, b in zip(v, vv)]
-        c = family.gram_inv_apply_exact(v)
-        norm2 = sum(a * b for a, b in zip(v, c))
-        if norm2 == 0:
-            raise DegenerateHostError("chosen row had zero exact residual")
-        dirs.append((v, c, norm2))
+        qx = [sum(v * qa[c] for c, v in sparse_rows[j]) for qa in q]
+        xqx = sum(v * qx[c] for c, v in sparse_rows[j])
+        for qa, s in zip(q, qx):  # Q -= (Q x)(Q x)^T / x^T Q x
+            s /= xqx
+            for b, y in enumerate(qx):
+                qa[b] -= s * y
         for i, sr in enumerate(sparse_rows):
-            if r[i] == 0:
-                continue
-            proj = sum(val * c[col] for col, val in sr)
-            r[i] -= proj * proj / norm2
-        r[j] = Fraction(0)
+            if r[i]:
+                proj = sum(v * qx[c] for c, v in sr)
+                r[i] -= proj * proj / xqx
     return tuple(sorted(family.item(j) for j in chosen))
 
 
@@ -518,7 +517,7 @@ def sample_volume(family, rng=None, config=DEFAULT_CONFIG):
         raise InvalidInputError("host needs at least one column")
     if config.precision_mode == "exact":
         return _sample_volume_exact(family, rng)
-    return family.sample_float(rng, config)
+    return family.sample_float(rng)
 
 
 def enumerate_distribution(family, m=None):

@@ -29,8 +29,8 @@ def validate_row_tuple(b, n):
     if len(b) < 3:
         raise InvalidInputError(f"row weight must be >= 3, got {len(b)}")
     for x in b:
-        if not 1 <= x <= n:
-            raise InvalidInputError(f"tuple entry {x} outside [1, {n}]")
+        if not (isinstance(x, (int, np.integer)) and 1 <= x <= n):
+            raise InvalidInputError(f"tuple entry {x!r} is not an integer in [1, {n}]")
 
 
 def build_row(b, n):

@@ -5,17 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rowsparse.errors import DegenerateHostError, InvalidInputError, SizeLimitError
+from rowsparse.intlinalg import frac_inverse, int_det
 from rowsparse.sampling import (
-    DEFAULT_CONFIG,
     BasisResidual,
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
     RowFamily,
+    RowResidual,
     SamplerConfig,
     cached_family,
     enumerate_distribution,
@@ -48,10 +49,6 @@ def b33_draws():
 def test_sampler_config_validation():
     with pytest.raises(InvalidInputError):
         SamplerConfig(precision_mode="float32")
-    with pytest.raises(InvalidInputError):
-        SamplerConfig(reorthogonalization_tolerance=1e-3)
-    with pytest.raises(InvalidInputError):
-        SamplerConfig(reorthogonalization_tolerance=0.0)
 
 
 def test_enumeration_n2():
@@ -211,7 +208,7 @@ def test_slot_conditionals_multiply_to_residual(n, k, seed, picks):
     rng = np.random.default_rng(seed)
     t = int(picks * n)
     for _ in range(t):
-        res.draw(rng, DEFAULT_CONFIG.reorthogonalization_tolerance)
+        res.draw(rng)
     for b in itertools.product(range(n), repeat=k):
         slots = iter(b)
         prob = [1.0]
@@ -232,7 +229,6 @@ def test_basis_sampler_mass_stays_on_its_invariant(n, k):
     # sum_x r_x = alpha 1^T Q 1 + beta tr Q must read n - t after t picks
     fam = BasisSumRows(n, k)
     alpha, beta = k * (k - 1) * n ** (k - 2), k * n ** (k - 1)
-    tol = DEFAULT_CONFIG.reorthogonalization_tolerance
     rng = np.random.default_rng([SEED, n, k])
     worst = 0.0
     for _ in range(200):
@@ -246,7 +242,7 @@ def test_basis_sampler_mass_stays_on_its_invariant(n, k):
             lag = max(lag, np.abs(np.array(res.q1) - res.q.sum(axis=1)).max())
             worst = max(worst, beta * lag)
             if t < n:
-                res.draw(rng, tol)  # raises DegenerateHostError instead of restarting
+                res.draw(rng)  # raises DegenerateHostError instead of restarting
     assert worst < 1e-9
 
 
@@ -256,9 +252,9 @@ def test_basis_sampler_rejects_a_spent_tuple():
         res = BasisResidual(BasisSumRows(n, 3))
         rng = np.random.default_rng(0)
         for _ in range(n):
-            res.draw(rng, 1e-9)
+            res.draw(rng)
         with pytest.raises(DegenerateHostError):
-            res.draw(rng, 1e-9)
+            res.draw(rng)
 
 
 @pytest.mark.parametrize("n,k,draws", [(2, 4, 50_000), (3, 4, 50_000)])
@@ -281,6 +277,117 @@ def test_basis_sampler_matches_oracle(n, k, draws):
         assert abs(inclusions[fam.item(i)] / draws - p) <= 4.5 * se
 
 
+def _full_rank_rows(seed, rows, cols):
+    rng = np.random.default_rng(seed)
+    while True:
+        mat = rng.integers(-3, 4, size=(rows, cols))
+        if np.linalg.matrix_rank(mat) == cols:
+            return mat.tolist()
+
+
+@pytest.mark.parametrize(
+    "host,draws",
+    [
+        (BoundaryRows(8, 2), 200),
+        (BoundaryRows(16, 2), 40),
+        (MatrixRows(_full_rank_rows(5, 40, 8)), 200),
+    ],
+    ids=["boundary-8-2", "boundary-16-2", "matrix-40x8"],
+)
+def test_generic_sampler_mass_stays_on_its_invariant(host, draws):
+    # sum_x r_x, tracked by downdates and clipping, and sum_x x^T Q x = tr(Gram Q) read m - t
+    m = host.ncols
+    gram = np.array(host.gram(), dtype=np.float64)
+    rng = np.random.default_rng([SEED, m])
+    worst = 0.0
+    for _ in range(draws):
+        res = RowResidual(host)
+        for t in range(m + 1):
+            for mass in (res.r.sum(), (gram * res.q).sum()):
+                worst = max(worst, abs(mass - (m - t)))
+            if t < m:
+                res.draw(rng)  # raises DegenerateHostError instead of restarting
+        with pytest.raises(DegenerateHostError):
+            res.draw(rng)  # every row is spent
+    assert worst < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 4).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=m, max_size=m + 3
+        )
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_downdate_tracks_exact_residuals(rows, seed):
+    # after picks S, row x keeps K(x,x) - K(x,S) K(S,S)^{-1} K(S,x), the exact conditional kernel
+    host = MatrixRows(rows)
+    m = host.ncols
+    assume(int_det(host.gram()) != 0)
+    w = frac_inverse(host.gram())
+    kern = [
+        [sum(x[a] * w[a][c] * y[c] for a in range(m) for c in range(m)) for y in rows]
+        for x in rows
+    ]
+    res = RowResidual(host)
+    rng = np.random.default_rng(seed)
+    picked = []
+    for t in range(m + 1):
+        inv = frac_inverse([[kern[i][j] for j in picked] for i in picked]) if picked else []
+        for i in range(len(rows)):
+            exact = kern[i][i] - sum(
+                kern[i][a] * inv[u][v] * kern[b][i]
+                for u, a in enumerate(picked)
+                for v, b in enumerate(picked)
+            )
+            assert res.r[i] == pytest.approx(float(exact), abs=1e-9)
+        if t < m:
+            picked.append(res.draw(rng))
+
+
+@pytest.mark.parametrize("n,r", [(5, 1), (6, 2), (7, 3)])
+def test_boundary_closed_forms_are_exact(n, r):
+    # W = ((n+1) I - Gram) / n and K(x, x) = (r+1)/n, against the generic inverse
+    host = BoundaryRows(n, r)
+    assert host._gram_inv_exact() == frac_inverse(host.gram())
+    for i in range(host.n_items):
+        assert RowFamily.leverage_exact(host, i) == host.leverage_exact(i) == Fraction(r + 1, n)
+
+
+@pytest.mark.parametrize("n,r", [(16, 2), (10, 3), (9, 4)])
+def test_boundary_closed_forms_in_float(n, r):
+    host = BoundaryRows(n, r)
+    gram = np.array(host.gram(), dtype=np.float64)
+    w = host._gram_inv_float()
+    assert np.abs(w @ gram - np.eye(host.ncols)).max() <= 1e-14
+    assert np.abs(w - np.linalg.inv(gram)).max() <= 1e-14
+    assert np.abs(RowFamily.leverage_float(host) - host.leverage_float()).max() <= 1e-14
+    assert np.all(host.leverage_float() == (r + 1) / n)
+
+
+def test_item_index_rejects_unknown_identifiers():
+    host = MatrixRows([[1, 0], [0, 1], [1, 1]])
+    for bad in (-1, 3, 1.0, "0"):
+        with pytest.raises(InvalidInputError):
+            host.item_index(bad)
+    # row -1 used to alias row 2 and report P = 1/3
+    with pytest.raises(InvalidInputError):
+        exact_subset_probability(host, (-1, 0))
+    assert exact_subset_probability(host, (2, 0)) == Fraction(1, 3)
+    boundary = BoundaryRows(5, 2)
+    for bad in ((1, 2, 6), (1, 2), (3, 2, 1), 7):
+        with pytest.raises(InvalidInputError):
+            boundary.item_index(bad)
+    with pytest.raises(InvalidInputError):
+        exact_subset_probability(boundary, ((1, 2, 3), (1, 2, 4), (1, 2, 9)))
+    # tuple entry 1.5 used to alias (2, 1, 1) and report its marginal 1/6
+    with pytest.raises(InvalidInputError):
+        marginal_leverage((1.5, 1, 1), 2, 3)
+    assert BasisSumRows(2, 3).item_index((np.int64(2), 1, 1)) == 4
+
+
 def test_cached_family_shares_hosts():
     assert cached_family(BasisSumRows, 3, 3) is cached_family(BasisSumRows, 3, 3)
     assert cached_family(BoundaryRows, 5, 2) is not cached_family(BoundaryRows, 6, 2)
@@ -294,11 +401,13 @@ def test_generic_gram_matches_closed_form():
 
 
 def test_degenerate_host_raises():
-    host = MatrixRows([[1, 0], [2, 0], [3, 0]])
-    with pytest.raises(DegenerateHostError):
-        sample_volume(host, np.random.default_rng(0))
-    with pytest.raises(DegenerateHostError):
-        sample_volume(host, np.random.default_rng(0), SamplerConfig(precision_mode="exact"))
+    # the second Gram is singular, yet LU inverts it in float without raising
+    for rows in ([[1, 0], [2, 0], [3, 0]], [[1, -2, 1], [-1, 1, 1], [3, 2, -13]]):
+        host = MatrixRows(rows)
+        with pytest.raises(DegenerateHostError):
+            sample_volume(host, np.random.default_rng(0))
+        with pytest.raises(DegenerateHostError):
+            sample_volume(host, np.random.default_rng(0), SamplerConfig(precision_mode="exact"))
 
 
 def test_sample_matrix_shape_and_row_sums():
