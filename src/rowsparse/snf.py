@@ -1,10 +1,23 @@
 """Exact Smith normal form, cokernels, Sylow projections, and mod-p rank.
 
-The diagonalization uses minimum-absolute-value pivoting with full row and
-column reduction over Python ints; entry growth is accepted in exchange for
-unconditional correctness at desk scale.
+`cokernel` runs one elimination in two phases over Python ints:
+
+- Sparse phase. Rows are dicts {column: entry}. While some entry is +-1, the
+  one with the least Markowitz cost (row nnz - 1)(column nnz - 1) is the
+  pivot, and its integer Schur complement replaces the matrix. Each pivot
+  costs a scan of the live entries plus the fill it makes; the sampled
+  matrices are row-sparse, so this phase removes nearly every row.
+- Core phase. The rows and columns that still hold a nonzero entry form a
+  dense core with no unit entry. `_diagonalize` reduces it by
+  minimum-absolute-value pivoting with full row and column reduction; its
+  cost grows with the cube of the core and with entry growth, which is
+  accepted in exchange for unconditional correctness at desk scale.
+
+The integer rank is the number of unit pivots plus the core's nonzero
+diagonal entries, and the mod-p rank is read off the elementary divisors.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -135,15 +148,82 @@ def _diagonalize(mat):
     return diag
 
 
+def _sparse_rows(mat):
+    """Rows of an integer matrix as {row index: {column: entry}}, plus its column count."""
+    ncols = len(mat[0]) if len(mat) else 0
+    rows = {}
+    for i, row in enumerate(mat):
+        if len(row) != ncols:
+            raise InvalidInputError("ragged matrix")
+        try:
+            rows[i] = {j: operator.index(v) for j, v in enumerate(row) if v}
+        except TypeError:
+            raise InvalidInputError(f"row {i} has a non-integer entry") from None
+    return rows, ncols
+
+
+def _unit_pivot(live, cols):
+    """The +-1 entry of least Markowitz cost as (row, column), or None."""
+    best, best_cost = None, None
+    for i, row in live.items():
+        row_cost = len(row) - 1
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                cost = row_cost * (len(cols[j]) - 1)
+                if not cost:
+                    return i, j
+                if best is None or cost < best_cost:
+                    best, best_cost = (i, j), cost
+    return best
+
+
+def _eliminate_unit_pivots(live, ncols):
+    """Sparse phase: take Markowitz-ordered +-1 pivots until none is left.
+
+    Pops each pivot row from `live`, leaves the Schur complement on the other
+    rows in place, and returns the number of pivots.
+    """
+    cols = [set() for _ in range(ncols)]  # column -> live rows holding it
+    for i, row in live.items():
+        for j in row:
+            cols[j].add(i)
+    pivots = 0
+    while (pivot := _unit_pivot(live, cols)) is not None:
+        pi, pj = pivot
+        prow = live.pop(pi)
+        unit = prow.pop(pj)
+        for j in prow:
+            cols[j].discard(pi)
+        for i in cols[pj] - {pi}:
+            row = live[i]
+            f = row.pop(pj) * unit
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        cols[pj] = set()
+        pivots += 1
+    return pivots
+
+
 def cokernel(mat):
-    """Cokernel of the column action: Z^rows / A Z^cols."""
-    nrows = len(mat)
-    if nrows == 0:
-        return CokernelClass(free_rank=0, divisors=())
-    if any(len(r) != len(mat[0]) for r in mat):
-        raise InvalidInputError("ragged matrix")
-    diag = _diagonalize(mat)
-    return CokernelClass(free_rank=nrows - len(diag), divisors=tuple(d for d in diag if d > 1))
+    """Cokernel of the column action: Z^rows / A Z^cols.
+
+    Nonzero entries must be integers (numpy integers included); a ragged or
+    non-integer matrix raises InvalidInputError.
+    """
+    rows, ncols = _sparse_rows(mat)
+    pivots = _eliminate_unit_pivots(rows, ncols)
+    core_cols = sorted({j for row in rows.values() for j in row})
+    core = [[row.get(j, 0) for j in core_cols] for row in rows.values() if row]
+    diag = _diagonalize(core)
+    return CokernelClass(free_rank=len(mat) - pivots - len(diag),
+                         divisors=tuple(d for d in diag if d > 1))
 
 
 def sylow(cok, p):
@@ -164,28 +244,13 @@ def sylow(cok, p):
 
 
 def rank_mod_p(mat, p):
-    """(rank, corank) of the matrix reduced mod p, by Gaussian elimination."""
+    """(rank, corank) of the matrix reduced mod p; corank counts columns.
+
+    Read off the cokernel: the F_p rank is the integer rank less the number
+    of elementary divisors that p divides.
+    """
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
-    a = [[x % p for x in row] for row in mat]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((i for i in range(row, nrows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [(x * inv) % p for x in a[row]]
-        for i in range(nrows):
-            if i != row and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank, ncols - rank
-
+    cok = cokernel(mat)
+    rank = len(mat) - cok.free_rank - sum(1 for d in cok.divisors if d % p == 0)
+    return rank, (len(mat[0]) if len(mat) else 0) - rank

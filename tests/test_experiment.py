@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from rowsparse.experiment import (
     report_moment,
     report_tv,
     run_campaign,
+    run_trial,
     verify_suite,
     wilson_interval,
     worker_count,
@@ -79,6 +81,23 @@ def test_campaign_outputs_are_byte_identical(tmp_path):
     run_campaign(cfg, out_dir=str(d2))
     for name in ("trials.jsonl", "report.json", "report.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("model,n,k,trials,digest", [
+    ("bn_matrix", 12, 3, 30, "e93437e9b626c853d90e4d81990f64b750a28769c1fa11b1b8a10efcc7198f43"),
+    ("hypertree", 8, None, 20, "e58bdb5e963dcc934618ff31184fc28c3fae3699dabe4e43afc711b84f53548f"),
+], ids=["bn-12-3", "hypertree-8"])
+def test_seeded_trials_file_is_pinned(tmp_path, model, n, k, trials, digest):
+    # a change to the sampler streams or to the cokernel must show up as a change to this digest
+    run_campaign(ExperimentConfig(n=n, trials=trials, seed=42, model=model, k=k), out_dir=str(tmp_path))
+    assert hashlib.sha256((tmp_path / "trials.jsonl").read_bytes()).hexdigest() == digest
+
+
+def test_trial_at_n100_k7_finishes():
+    # (100, 7) leaves a dense core of about 28 rows after the unit pivots
+    rec = run_trial(ExperimentConfig(n=100, trials=1, seed=0, k=7), 0)
+    assert not rec.det_zero and rec.k == 7
+    assert rec.f2_corank == sum(1 for d in rec.divisors if d % 2 == 0) == len(rec.sylow[2])
 
 
 def test_campaign_parallel_matches_serial(tmp_path):

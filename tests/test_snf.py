@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rowsparse import snf
 from rowsparse.errors import InvalidInputError
 from rowsparse.intlinalg import int_det
-from rowsparse.sampling import sample_matrix
+from rowsparse.sampling import sample_hypertree, sample_matrix
 from rowsparse.snf import CokernelClass, cokernel, rank_mod_p, sylow
 
 
@@ -42,6 +46,76 @@ def random_unimodular_transform(rng, mat):
     return a
 
 
+def dense_cokernel(mat):
+    """Reference: the dense core routine run on the whole matrix, with no sparse phase."""
+    diag = snf._diagonalize(mat)
+    return CokernelClass(free_rank=len(mat) - len(diag), divisors=tuple(d for d in diag if d > 1))
+
+
+def rank_mod_p_reference(mat, p):
+    """(rank, corank) by Gaussian elimination over F_p."""
+    a = [[x % p for x in row] for row in mat]
+    ncols = len(a[0]) if a else 0
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        for i in range(rank + 1, len(a)):
+            f = a[i][col] * inv % p
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank, ncols - rank
+
+
+UNIT_SPARSE = st.sampled_from([0, 0, 0, 1, -1, 2])
+LARGE = st.integers(-10**6, 10**6)
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square or rectangular (zero columns allowed), often singular, in four entry regimes."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(0, 7))
+    entries = draw(st.sampled_from([st.integers(-3, 3), LARGE, UNIT_SPARSE, st.one_of(UNIT_SPARSE, LARGE)]))
+    mat = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rank = draw(st.integers(0, min(nrows, ncols)))
+    if rank < min(nrows, ncols):
+        # rank-deficient: every row a small combination of the first `rank` rows
+        mix = draw(st.lists(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank),
+                            min_size=nrows, max_size=nrows))
+        mat = [[sum(c * mat[t][j] for t, c in enumerate(m)) for j in range(ncols)] for m in mix]
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(mat=integer_matrices())
+def test_cokernel_and_rank_match_dense_references(mat):
+    assert cokernel(mat) == dense_cokernel(mat)
+    for p in (2, 3, 5, 7):
+        assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p)
+
+
+@pytest.mark.parametrize("model", ["bn_matrix", "hypertree"])
+def test_cokernel_matches_dense_reference_on_samples(model):
+    # (30, 3) leaves a core of 2-4 rows, hypertree n = 16 one of 0-1: both phases run
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        mat = sample_matrix(30, 3, rng) if model == "bn_matrix" else sample_hypertree(16, rng)[1]
+        assert cokernel(mat) == dense_cokernel(mat)
+
+
+@pytest.mark.parametrize("k", [5, 7])
+def test_cokernel_at_n100(k):
+    # cores of 17-18 and 28-29 rows; the dense routine alone took about 66 s per (100, 7) matrix
+    mat = sample_matrix(100, k, rng=k)
+    cok = cokernel(mat)
+    assert cok.is_finite and cok.order() == abs(int_det(mat))
+    assert rank_mod_p_reference(mat, 2)[1] == sum(1 for d in cok.divisors if d % 2 == 0)
+
+
 def test_snf_examples():
     assert cokernel(transpose([[2, 0], [0, 3]])) == CokernelClass(0, (6,))
     assert cokernel(transpose([[2, 1], [1, 2]])) == CokernelClass(0, (3,))
@@ -59,6 +133,31 @@ def test_cokernel_rejects_ragged_matrix():
         cokernel([[1], [2, 3]])
     with pytest.raises(InvalidInputError):
         cokernel([[1, 2], [3]])
+
+
+def test_rank_mod_p_rejects_ragged_matrix():
+    with pytest.raises(InvalidInputError):
+        rank_mod_p([[1], [2, 3]], 2)
+    with pytest.raises(InvalidInputError):
+        rank_mod_p([[1, 2], [3]], 2)
+
+
+@pytest.mark.parametrize("mat", [[[2.9]], [[1.5, 0], [0, 2]], [[3.0]], np.array([[2.0, 1.0], [1.0, 2.0]])])
+def test_non_integer_entries_are_rejected(mat):
+    # truncating 2.9 to 2 would report Z/2
+    with pytest.raises(InvalidInputError):
+        cokernel(mat)
+    with pytest.raises(InvalidInputError):
+        rank_mod_p(mat, 2)
+
+
+def test_numpy_integer_entries_are_accepted():
+    mat = np.array([[2, 1], [1, 2]], dtype=np.int64)
+    assert cokernel(mat) == CokernelClass(0, (3,))
+    assert rank_mod_p(mat, 3) == (1, 1)
+    mixed = [[np.int64(3), np.int32(0)], [np.int8(0), 1]]
+    assert cokernel(mixed) == CokernelClass(0, (3,))
+    assert rank_mod_p(mixed, 3) == (1, 1)
 
 
 def test_snf_divisor_chain_and_det():
