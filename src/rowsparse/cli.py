@@ -20,19 +20,35 @@ from .experiment import (
     run_campaign,
     verify_suite,
 )
-from .groups import FiniteAbelianGroup, cl_corank_probability, cl_probability, p_groups_up_to
+from .groups import (
+    FiniteAbelianGroup,
+    cl_corank_probability,
+    cl_probability,
+    is_prime,
+    p_groups_up_to,
+)
 from .moments import surjection_moment_exact
 from .sampling import SamplerConfig, sample_hypertree, sample_matrix
 from .snf import cokernel, sylow
 
 
+def _parse_ints(text, option):
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise InvalidInputError(f"{option} takes comma-separated integers, got {text!r}") from None
+
+
 def _parse_group(text):
-    divisors = tuple(int(x) for x in text.split(",") if x.strip())
-    return FiniteAbelianGroup(divisors)
+    return FiniteAbelianGroup(_parse_ints(text, "--group"))
 
 
 def _parse_primes(text):
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    primes = _parse_ints(text, "--primes")
+    for p in primes:
+        if not is_prime(p):
+            raise InvalidInputError(f"{p} is not prime")
+    return primes
 
 
 def _add_common(sub):
@@ -42,6 +58,7 @@ def _add_common(sub):
 
 
 def cmd_sample(args):
+    primes = _parse_primes(args.primes)  # before the draw, so a bad prime prints no matrix
     cfg = SamplerConfig(seed=args.seed, precision_mode=args.precision)
     rng = np.random.default_rng(args.seed)
     if args.model == "hypertree":
@@ -56,7 +73,7 @@ def cmd_sample(args):
     cok = cokernel(mat)
     print("free rank:", cok.free_rank)
     print("divisors:", list(cok.divisors))
-    for p in _parse_primes(args.primes):
+    for p in primes:
         print(f"sylow {p}:", list(sylow(cok, p).partition))
     return 0
 
@@ -133,7 +150,10 @@ def cmd_verify(args):
 
 
 def cmd_report(args):
-    records = load_trials(args.trials)
+    try:
+        records = load_trials(args.trials)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read {args.trials}: {exc.strerror}") from None
     if not records:
         raise InvalidInputError("trial file is empty")
     first = records[0]

@@ -12,12 +12,15 @@ DegenerateHostError; no path restarts a draw.
 
 Three host structures. Explicit rows (`MatrixRows`) take W as a dense
 inverse and track every row's residual in padded sparse arrays
-(`RowResidual`): O(m^3 + N * m * nnz) time per draw for N rows. Boundary rows
-(`BoundaryRows`) take the same path on the closed forms
-W = ((n+1) I - Gram) / n and K(x, x) = (r+1)/n. Basis-sum rows
-(`BasisSumRows`) take W = (I - gamma J) / beta, never build their n^k rows,
-and draw each tuple one slot at a time from exact marginals of Q
-(`BasisResidual`): O(n^3 + k n^2) time per draw.
+(`RowResidual`). That path keeps Q in factor form, Q = W - G^T G with row s
+of G the direction g of pick s, so pick t reads Q x = W x - G^T (G x) and
+writes one row of G: O(t m + N nnz) time per pick and O(m^3 + N m nnz) per
+draw for N rows of at most nnz entries. Boundary rows (`BoundaryRows`) take
+the same path on the closed forms W = ((n+1) I - Gram) / n and
+K(x, x) = (r+1)/n. Basis-sum rows (`BasisSumRows`) take
+W = (I - gamma J) / beta, never build their n^k rows, and draw each tuple
+one slot at a time from exact marginals of Q (`BasisResidual`):
+O(n^3 + k n^2) time per draw.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -74,17 +77,15 @@ def _check_float_entries(entries):
         )
 
 
-def _condition(q, qx, xqx, leverage):
-    """Set q -= g g^T in place with g = Q x / sqrt(x^T Q x), and return g.
+def _direction(qx, xqx, leverage):
+    """The unit direction g = Q x / sqrt(x^T Q x) of a pick; conditioning sets Q -= g g^T.
 
     Raises DegenerateHostError unless x^T Q x > RESIDUAL_TOLERANCE x leverage:
     float drift has left mass on a row the exact measure gives none.
     """
     if not xqx > RESIDUAL_TOLERANCE * leverage:  # also rejects NaN
         raise DegenerateHostError(f"drawn row kept residual {xqx:.3e} of leverage {leverage:.3e}")
-    g = qx / math.sqrt(xqx)
-    q -= np.outer(g, g)
-    return g
+    return qx / math.sqrt(xqx)
 
 
 def _as_rng(rng, config):
@@ -148,14 +149,15 @@ class RowFamily:
         return self._width
 
     def _sparse_arrays(self):
+        """Padded (width, rows) arrays: entry s of row i is vals[s, i] in column coords[s, i]."""
         if not hasattr(self, "_coords"):
             width = self.row_width()
-            coords = np.zeros((self.n_items, width), dtype=np.int64)
-            vals = np.zeros((self.n_items, width), dtype=np.float64)
+            coords = np.zeros((width, self.n_items), dtype=np.int64)
+            vals = np.zeros((width, self.n_items), dtype=np.float64)
             for i in range(self.n_items):
                 for s, (j, v) in enumerate(self.sparse_row(i)):
-                    coords[i, s] = j
-                    vals[i, s] = v
+                    coords[s, i] = j
+                    vals[s, i] = v
             self._coords = coords
             self._vals = vals
         return self._coords, self._vals
@@ -175,10 +177,10 @@ class RowFamily:
             w = self._gram_inv_float()
             # K(x,x) through the sparse support only
             lev = np.zeros(self.n_items)
-            width = coords.shape[1]
+            width = coords.shape[0]
             for a in range(width):
                 for b in range(width):
-                    lev += vals[:, a] * vals[:, b] * w[coords[:, a], coords[:, b]]
+                    lev += vals[a] * vals[b] * w[coords[a], coords[b]]
             self._lev = lev
         return self._lev
 
@@ -186,7 +188,8 @@ class RowFamily:
         """Float64 chain-rule draw over the padded sparse rows of the whole host."""
         _check_float_entries(max(self.n_items * self.row_width(), self.ncols**2))
         residual = RowResidual(self)
-        return tuple(sorted(self.item(residual.draw(rng)) for _ in range(self.ncols)))
+        uniforms = rng.random(self.ncols).tolist()  # the stream of ncols rng.random() calls
+        return tuple(sorted(self.item(residual.pick(u)) for u in uniforms))
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -212,29 +215,47 @@ class RowFamily:
 class RowResidual:
     """The state of a float chain-rule draw over a host's padded sparse rows.
 
-    q is the m x m residual operator and r[i] = x_i^T Q x_i the residual mass
-    of row i, tracked by downdates, clipped at zero and zero on picked rows.
+    The residual operator is kept as a factor, Q = W - G^T G: row s of G is
+    the direction g of pick s, so a pick writes one row instead of
+    downdating an m x m matrix. r[i] = x_i^T Q x_i is the residual mass of
+    row i, tracked by downdates, clipped at zero and zero on picked rows.
     """
 
     def __init__(self, family):
         self.coords, self.vals = family._sparse_arrays()
         self.leverage = family.leverage_float()
-        self.q = family._gram_inv_float().copy()
+        self.w = family._gram_inv_float()
+        self.g = np.empty_like(self.w)
+        self.t = 0
         self.r = self.leverage.copy()
+
+    @property
+    def q(self):
+        """The residual operator W - G^T G, materialized."""
+        g = self.g[: self.t]
+        return self.w - g.T @ g
+
+    def pick(self, u):
+        """Condition on the row at u * sum r of the cumulative residual mass; return its index."""
+        r = self.r
+        cum = np.cumsum(r)
+        j = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(r) - 1)
+        cj, vj = self.coords[:, j], self.vals[:, j]
+        t = self.t
+        qx = vj @ self.w[cj]
+        if t:
+            qx -= (self.g[:t, cj] @ vj) @ self.g[:t]  # Q x = W x - G^T (G x), O(t m)
+        d = self.g[t] = _direction(qx, float(qx[cj] @ vj), self.leverage[j])
+        self.t = t + 1
+        proj = (d[self.coords] * self.vals).sum(axis=0)  # every row's dot product with d
+        r -= proj * proj
+        np.maximum(r, 0.0, out=r)
+        r[j] = 0.0
+        return j
 
     def draw(self, rng):
         """Pick one row with probability r_i / sum r, condition on it and return its index."""
-        r = self.r
-        cum = np.cumsum(r)
-        j = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(r) - 1)
-        cj, vj = self.coords[j], self.vals[j]
-        qx = vj @ self.q[cj]
-        g = _condition(self.q, qx, float(qx[cj] @ vj), self.leverage[j])
-        proj = (g[self.coords] * self.vals).sum(axis=1)  # every row's dot product with g
-        r -= proj * proj
-        np.clip(r, 0.0, None, out=r)
-        r[j] = 0.0
-        return j
+        return self.pick(rng.random())
 
 
 class BasisSumRows(RowFamily):
@@ -351,7 +372,7 @@ class BasisResidual:
         return slots, qx, xqx
 
     def draw(self, rng):
-        """Draw one tuple from the residual measure and condition Q on it (`_condition`)."""
+        """Draw one tuple from the residual measure and condition Q on it."""
         uniforms = iter(rng.random(self.k).tolist())
 
         def choose(weights):
@@ -370,7 +391,9 @@ class BasisResidual:
 
         slots, qx, xqx = self.walk(choose)
         leverage = (sum(map(slots.count, slots)) - self.leverage_shift) / self.beta
-        g = _condition(self.q, np.array(qx), xqx, leverage).tolist()
+        g = _direction(np.array(qx), xqx, leverage)
+        self.q -= np.outer(g, g)
+        g = g.tolist()
         # the slot loop's aggregates follow Q -= g g^T
         sg = sum(g)
         self.diag = [d - x * x for d, x in zip(self.diag, g)]

@@ -4,9 +4,12 @@
 
 - Sparse phase. Rows are dicts {column: entry}. While some entry is +-1, the
   one with the least Markowitz cost (row nnz - 1)(column nnz - 1) is the
-  pivot, and its integer Schur complement replaces the matrix. Each pivot
-  costs a scan of the live entries plus the fill it makes; the sampled
-  matrices are row-sparse, so this phase removes nearly every row.
+  pivot, and its integer Schur complement replaces the matrix. A +-1 alone
+  in its row or column costs 0; such pivots come off a worklist of the rows
+  and columns that start as or become singletons, at no search cost, and
+  only when the worklist runs dry does a scan of the live entries pick the
+  next pivot. A pivot also costs the fill it makes (none at cost 0); the
+  sampled matrices are row-sparse, so this phase removes nearly every row.
 - Core phase. The rows and columns that still hold a nonzero entry form a
   dense core with no unit entry. `_diagonalize` reduces it by
   minimum-absolute-value pivoting with full row and column reduction; its
@@ -19,6 +22,7 @@ diagonal entries, and the mod-p rank is read off the elementary divisors.
 
 import operator
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import InvalidInputError
 from .groups import is_prime
@@ -156,7 +160,7 @@ def _sparse_rows(mat):
         if len(row) != ncols:
             raise InvalidInputError("ragged matrix")
         try:
-            rows[i] = {j: operator.index(v) for j, v in enumerate(row) if v}
+            rows[i] = {j: operator.index(row[j]) for j in compress(range(ncols), row)}
         except TypeError:
             raise InvalidInputError(f"row {i} has a non-integer entry") from None
     return rows, ncols
@@ -177,23 +181,43 @@ def _unit_pivot(live, cols):
     return best
 
 
+def _free_pivot(live, cols, todo):
+    """A +-1 entry alone in its row or column (Markowitz cost 0) as (row, column), or None.
+
+    Pops candidate entries off the worklist and drops the ones that are gone
+    or no longer a unit alone in their row or column.
+    """
+    while todo:
+        i, j = todo.pop()
+        row = live.get(i, {})
+        if row.get(j) in (1, -1) and (len(row) == 1 or len(cols[j]) == 1):
+            return i, j
+    return None
+
+
 def _eliminate_unit_pivots(live, ncols):
     """Sparse phase: take Markowitz-ordered +-1 pivots until none is left.
 
     Pops each pivot row from `live`, leaves the Schur complement on the other
-    rows in place, and returns the number of pivots.
+    rows in place, and returns the number of pivots. The rows and columns that
+    start as or become singletons put their entry on a worklist, so a cost-0
+    pivot needs no scan.
     """
     cols = [set() for _ in range(ncols)]  # column -> live rows holding it
     for i, row in live.items():
         for j in row:
             cols[j].add(i)
+    todo = [(i, *row) for i, row in live.items() if len(row) == 1]
+    todo += [(*rows, j) for j, rows in enumerate(cols) if len(rows) == 1]
     pivots = 0
-    while (pivot := _unit_pivot(live, cols)) is not None:
+    while (pivot := _free_pivot(live, cols, todo) or _unit_pivot(live, cols)) is not None:
         pi, pj = pivot
         prow = live.pop(pi)
         unit = prow.pop(pj)
         for j in prow:
             cols[j].discard(pi)
+            if len(cols[j]) == 1:
+                todo.append((*cols[j], j))
         for i in cols[pj] - {pi}:
             row = live[i]
             f = row.pop(pj) * unit
@@ -206,6 +230,10 @@ def _eliminate_unit_pivots(live, ncols):
                 else:
                     del row[j]
                     cols[j].discard(i)
+                    if len(cols[j]) == 1:
+                        todo.append((*cols[j], j))
+            if len(row) == 1:
+                todo.append((i, *row))
         cols[pj] = set()
         pivots += 1
     return pivots

@@ -86,7 +86,8 @@ def test_campaign_outputs_are_byte_identical(tmp_path):
 @pytest.mark.parametrize("model,n,k,trials,digest", [
     ("bn_matrix", 12, 3, 30, "e93437e9b626c853d90e4d81990f64b750a28769c1fa11b1b8a10efcc7198f43"),
     ("hypertree", 8, None, 20, "e58bdb5e963dcc934618ff31184fc28c3fae3699dabe4e43afc711b84f53548f"),
-], ids=["bn-12-3", "hypertree-8"])
+    ("hypertree", 16, None, 24, "be16eddbc9b74244822ce8c8ca395250c11ff33cc4b1cae7ce651cc9083ef63d"),
+], ids=["bn-12-3", "hypertree-8", "hypertree-16"])
 def test_seeded_trials_file_is_pinned(tmp_path, model, n, k, trials, digest):
     # a change to the sampler streams or to the cokernel must show up as a change to this digest
     run_campaign(ExperimentConfig(n=n, trials=trials, seed=42, model=model, k=k), out_dir=str(tmp_path))
@@ -293,6 +294,32 @@ def test_cli_campaign_and_report(tmp_path, capsys):
 def test_cli_invalid_input_is_reported(capsys):
     assert main(["sample", "--n", "4", "--seed", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment-exact", "--group", "2,x", "--n", "4", "--k", "3"],
+    ["sample", "--n", "5", "--k", "3", "--primes", "2,x"],
+], ids=["group", "primes"])
+def test_cli_non_integer_list_is_reported(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "2,x" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_missing_trials_file_is_reported(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.jsonl"
+    assert main(["report", "--trials", str(missing), "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(missing) in captured.err
+    assert captured.out == ""
+
+
+def test_cli_sample_checks_primes_before_drawing(capsys):
+    assert main(["sample", "--n", "5", "--k", "3", "--primes", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: 4 is not prime\n"
+    assert captured.out == ""  # no matrix, no divisors
 
 
 def test_cli_moment_exact_rejects_invalid_input(capsys):

@@ -290,9 +290,10 @@ def _full_rank_rows(seed, rows, cols):
     [
         (BoundaryRows(8, 2), 200),
         (BoundaryRows(16, 2), 40),
+        (BoundaryRows(20, 2), 3),
         (MatrixRows(_full_rank_rows(5, 40, 8)), 200),
     ],
-    ids=["boundary-8-2", "boundary-16-2", "matrix-40x8"],
+    ids=["boundary-8-2", "boundary-16-2", "boundary-20-2", "matrix-40x8"],
 )
 def test_generic_sampler_mass_stays_on_its_invariant(host, draws):
     # sum_x r_x, tracked by downdates and clipping, and sum_x x^T Q x = tr(Gram Q) read m - t

@@ -98,12 +98,14 @@ def test_cokernel_and_rank_match_dense_references(mat):
         assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p)
 
 
-@pytest.mark.parametrize("model", ["bn_matrix", "hypertree"])
-def test_cokernel_matches_dense_reference_on_samples(model):
-    # (30, 3) leaves a core of 2-4 rows, hypertree n = 16 one of 0-1: both phases run
-    for seed in range(10):
+@pytest.mark.parametrize("model,n,draws", [("bn_matrix", 30, 10), ("hypertree", 16, 10), ("hypertree", 20, 4)],
+                         ids=["bn_matrix", "hypertree", "hypertree-20"])
+def test_cokernel_matches_dense_reference_on_samples(model, n, draws):
+    # (30, 3) leaves a core of 2-4 rows, hypertree n = 16 one of 0-1 and n = 20 one of 0-2:
+    # both phases run, and most hypertree pivots come off the singleton worklist
+    for seed in range(draws):
         rng = np.random.default_rng(seed)
-        mat = sample_matrix(30, 3, rng) if model == "bn_matrix" else sample_hypertree(16, rng)[1]
+        mat = sample_matrix(n, 3, rng) if model == "bn_matrix" else sample_hypertree(n, rng)[1]
         assert cokernel(mat) == dense_cokernel(mat)
 
 
@@ -114,6 +116,70 @@ def test_cokernel_at_n100(k):
     cok = cokernel(mat)
     assert cok.is_finite and cok.order() == abs(int_det(mat))
     assert rank_mod_p_reference(mat, 2)[1] == sum(1 for d in cok.divisors if d % 2 == 0)
+
+
+def pivot_sources(monkeypatch, mat):
+    """Run cokernel(mat) and return the source of each unit pivot: 'w' worklist, 's' scan."""
+    sources = []
+    for name, tag in (("_free_pivot", "w"), ("_unit_pivot", "s")):
+        def traced(*args, _find=getattr(snf, name), _tag=tag):
+            pivot = _find(*args)
+            if pivot is not None:
+                sources.append(_tag)
+            return pivot
+        monkeypatch.setattr(snf, name, traced)
+    cokernel(mat)
+    monkeypatch.undo()
+    return "".join(sources)
+
+
+def assert_matches_references(mat):
+    assert cokernel(mat) == dense_cokernel(mat)
+    for p in (2, 3):
+        assert rank_mod_p(mat, p) == rank_mod_p_reference(mat, p)
+
+
+def test_scan_pivots_feed_the_worklist(monkeypatch):
+    # hypertree n = 8, seed 1: the worklist runs dry, the scan takes pivots of positive cost,
+    # and the singletons their Schur updates leave come off the worklist again
+    mat = sample_hypertree(8, np.random.default_rng(1))[1]
+    sources = pivot_sources(monkeypatch, mat)
+    assert "ws" in sources and "sw" in sources
+    assert_matches_references(mat)
+
+
+@pytest.mark.parametrize("model", ["bn_matrix", "hypertree"])
+def test_scan_never_finds_a_cost_free_pivot(monkeypatch, model):
+    # every +-1 left alone in its row or column reaches the worklist, so the scan sees positive costs
+    costs = []
+
+    def traced(live, cols, _scan=snf._unit_pivot):
+        pivot = _scan(live, cols)
+        if pivot is not None:
+            i, j = pivot
+            costs.append((len(live[i]) - 1) * (len(cols[j]) - 1))
+        return pivot
+
+    monkeypatch.setattr(snf, "_unit_pivot", traced)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mat = sample_matrix(30, 3, rng) if model == "bn_matrix" else sample_hypertree(16, rng)[1]
+        cokernel(mat)
+    assert costs and min(costs) > 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_unit_triangular_pivots_all_come_off_the_worklist(monkeypatch, seed):
+    # a row- and column-permuted unit-triangular +-1 matrix eliminates by singletons alone
+    rng = random.Random(seed)
+    n = 12
+    tri = [[rng.choice((-1, 0, 1)) if j < i else rng.choice((-1, 1)) * (j == i) for j in range(n)]
+           for i in range(n)]
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    mat = [[tri[i][j] for j in cols] for i in rows]
+    assert pivot_sources(monkeypatch, mat) == "w" * n
+    assert cokernel(mat) == CokernelClass(0, ())
+    assert_matches_references(mat)
 
 
 def test_snf_examples():
