@@ -15,7 +15,6 @@ import os
 import platform
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -187,6 +186,9 @@ def run_campaign(cfg, out_dir=None, tv_prime=None, tv_cap=81, moment_groups=None
     workers = worker_count()
     ids = list(range(cfg.trials))
     if workers > 1:
+        # imported here: the pool's modules are a third of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         cfg_dict = {
             "n": cfg.n, "trials": cfg.trials, "seed": cfg.seed, "model": cfg.model,
             "k": cfg.k, "k_schedule": cfg.k_schedule, "primes": cfg.primes,
@@ -346,12 +348,23 @@ def report_csv(report):
 
 
 def load_trials(path):
+    """The records of a trials.jsonl file; a malformed line raises InvalidInputError."""
     records = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                records.append(TrialRecord.from_json_dict(json.loads(line)))
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"{path} line {number} is not JSON: {exc.msg}") from None
+            try:
+                records.append(TrialRecord.from_json_dict(data))
+            except KeyError as exc:
+                raise InvalidInputError(f"{path} line {number} has no {exc} field") from None
+            except (AttributeError, TypeError, ValueError):
+                raise InvalidInputError(f"{path} line {number} is not a trial record") from None
     return records
 
 

@@ -32,7 +32,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -99,8 +99,9 @@ def _as_rng(rng, config):
 class RowFamily:
     """A finite family of integer rows in R^m supporting sparse projections.
 
-    Subclasses fill in: n_items, ncols, item(i), sparse_row(i). The generic
-    float path (`RowResidual`) reads the rows as padded sparse arrays; a
+    Subclasses fill in: n_items, ncols, item(i), sparse_row(i). The Gram
+    and the generic float path (`RowResidual`, which reads the rows as
+    padded sparse arrays) take every row from `sparse_rows`, built once; a
     subclass with more structure overrides `sample_float`.
     """
 
@@ -116,6 +117,12 @@ class RowFamily:
     def sparse_row(self, i):
         raise NotImplementedError
 
+    def sparse_rows(self):
+        """Every row's sparse form, built once per host and kept."""
+        if not hasattr(self, "_sparse_rows"):
+            self._sparse_rows = [self.sparse_row(i) for i in range(self.n_items)]
+        return self._sparse_rows
+
     def dense_row(self, i):
         vec = [0] * self.ncols
         for j, v in self.sparse_row(i):
@@ -126,8 +133,7 @@ class RowFamily:
         """Column Gram matrix host^T host, accumulated over the sparse rows."""
         if not hasattr(self, "_gram"):
             g = [[0] * self.ncols for _ in range(self.ncols)]
-            for i in range(self.n_items):
-                nz = self.sparse_row(i)
+            for nz in self.sparse_rows():
                 for a, va in nz:
                     ga = g[a]
                     for b, vb in nz:
@@ -145,7 +151,7 @@ class RowFamily:
     def row_width(self):
         """Largest row support: the width of the padded sparse arrays."""
         if not hasattr(self, "_width"):
-            self._width = max(len(self.sparse_row(i)) for i in range(self.n_items))
+            self._width = max(map(len, self.sparse_rows()))
         return self._width
 
     def _sparse_arrays(self):
@@ -154,8 +160,8 @@ class RowFamily:
             width = self.row_width()
             coords = np.zeros((width, self.n_items), dtype=np.int64)
             vals = np.zeros((width, self.n_items), dtype=np.float64)
-            for i in range(self.n_items):
-                for s, (j, v) in enumerate(self.sparse_row(i)):
+            for i, row in enumerate(self.sparse_rows()):
+                for s, (j, v) in enumerate(row):
                     coords[s, i] = j
                     vals[s, i] = v
             self._coords = coords
@@ -315,7 +321,35 @@ class BasisSumRows(RowFamily):
         """Chain-rule draw in the n-dimensional dual space; no host row is built."""
         _check_float_entries(self.n * self.n)
         residual = BasisResidual(self)
-        return tuple(sorted(residual.draw(rng) for _ in range(self.n)))
+        k = self.k
+        uniforms = rng.random(self.n * k).tolist()  # the stream of n rng.random(k) calls
+        return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
+
+    def _residual_start(self):
+        """A draw's start state: Q = W = (I - gamma J) / beta and its slot-loop aggregates."""
+        if not hasattr(self, "_start"):
+            n, beta, gamma = self.n, self._beta, float(self._gamma)
+            self._start = (
+                (np.eye(n) - gamma) / beta,
+                [(1.0 - gamma) / beta] * n,  # diag Q
+                [(1.0 - n * gamma) / beta] * n,  # Q 1
+                n * (1.0 - gamma) / beta,  # tr Q
+                n * (1.0 - n * gamma) / beta,  # 1^T Q 1
+                gamma * self.k**2,  # beta K(b, b) = sum_i x_i^2 - gamma k^2
+            )
+        return self._start
+
+
+def _choose_slot(uniforms, weights):
+    """Index a with probability weights[a] / sum(weights), located by the next uniform."""
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1]
+    if total <= 0.0:
+        raise DegenerateHostError("residual mass vanished before a full subset was chosen")
+    a = bisect_right(cum, next(uniforms) * total)
+    if a == len(cum):  # rounding left the target at the top: take the last positive slot
+        a = max(i for i, w in enumerate(weights) if w > 0.0)
+    return a
 
 
 class BasisResidual:
@@ -324,20 +358,14 @@ class BasisResidual:
     Tuple b carries the residual mass r_b = x_b^T Q x_b, x_b its count vector.
     Beside Q (n x n, numpy) the slot loop reads diag Q and Q 1 as Python lists
     and tr Q and 1^T Q 1 as floats, so that a slot costs O(n) Python float
-    work without numpy per-call overhead.
+    work without numpy per-call overhead. A new residual copies the host's
+    start state.
     """
 
     def __init__(self, family):
-        n = self.n = family.n
-        self.k = family.k
-        gamma = float(family._gamma)
-        self.beta = family._beta
-        self.q = (np.eye(n) - gamma) / self.beta
-        self.diag = [(1.0 - gamma) / self.beta] * n
-        self.q1 = [(1.0 - n * gamma) / self.beta] * n
-        self.trace = n * (1.0 - gamma) / self.beta
-        self.ones = n * (1.0 - n * gamma) / self.beta
-        self.leverage_shift = gamma * self.k**2  # beta K(b, b) = sum_i x_i^2 - gamma k^2
+        self.n, self.k, self.beta = family.n, family.k, family._beta
+        q, diag, q1, self.trace, self.ones, self.leverage_shift = family._residual_start()
+        self.q, self.diag, self.q1 = q.copy(), list(diag), list(q1)
 
     def walk(self, choose):
         """Build one tuple slot by slot; choose(weights) names the next slot's index.
@@ -371,25 +399,9 @@ class BasisResidual:
             slots.append(a)
         return slots, qx, xqx
 
-    def draw(self, rng):
-        """Draw one tuple from the residual measure and condition Q on it."""
-        uniforms = iter(rng.random(self.k).tolist())
-
-        def choose(weights):
-            total = sum(weights)
-            if total <= 0.0:
-                raise DegenerateHostError("residual mass vanished before a full subset was chosen")
-            target = next(uniforms) * total
-            acc = 0.0
-            for a, w in enumerate(weights):
-                if w > 0.0:
-                    acc += w
-                    last = a
-                    if target < acc:
-                        return a
-            return last  # rounding left target at the top of the last positive slot
-
-        slots, qx, xqx = self.walk(choose)
+    def pick(self, uniforms):
+        """Draw one tuple, uniforms[s] choosing slot s, and condition Q on it."""
+        slots, qx, xqx = self.walk(partial(_choose_slot, iter(uniforms)))
         leverage = (sum(map(slots.count, slots)) - self.leverage_shift) / self.beta
         g = _direction(np.array(qx), xqx, leverage)
         self.q -= np.outer(g, g)
@@ -401,6 +413,10 @@ class BasisResidual:
         self.trace -= sum(x * x for x in g)
         self.ones -= sg * sg
         return tuple(a + 1 for a in slots)
+
+    def draw(self, rng):
+        """Draw one tuple with k rng.random() calls and condition Q on it."""
+        return self.pick(rng.random(self.k).tolist())
 
 
 class BoundaryRows(RowFamily):
@@ -417,6 +433,11 @@ class BoundaryRows(RowFamily):
         self.n_items = len(self._row_faces)
         self.ncols = len(self._col_faces)
         self._face_index = {f: i for i, f in enumerate(self._row_faces)}
+        # every row's (column, sign) pairs, read off the faces once: sparse_rows() returns them
+        self._sparse_rows = [
+            tuple((self._col_index[S], sign) for S, sign in boundary_column_sparse(n, r, face))
+            for face in self._row_faces
+        ]
 
     def item(self, i):
         return self._row_faces[i]
@@ -428,10 +449,7 @@ class BoundaryRows(RowFamily):
             raise InvalidInputError(f"{face!r} is not a row face of this host") from None
 
     def sparse_row(self, i):
-        face = self._row_faces[i]
-        return tuple(
-            (self._col_index[S], sign) for S, sign in boundary_column_sparse(self.n, self.r, face)
-        )
+        return self._sparse_rows[i]
 
     # The boundary Gram has exactly the eigenvalues 1 and n: K projects onto
     # the S_n-invariant coboundary space (Lyons 2003; Kalai 1983). So
@@ -514,7 +532,7 @@ def _sample_volume_exact(family, rng):
         )
     q = [list(row) for row in family._gram_inv_exact()]
     r = [family.leverage_exact(i) for i in range(family.n_items)]
-    sparse_rows = [family.sparse_row(i) for i in range(family.n_items)]
+    sparse_rows = family.sparse_rows()
     chosen = []
     for _ in range(family.ncols):
         # exact residuals vanish on spent rows, so every pick keeps x^T Q x > 0

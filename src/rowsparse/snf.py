@@ -8,8 +8,11 @@
   in its row or column costs 0; such pivots come off a worklist of the rows
   and columns that start as or become singletons, at no search cost, and
   only when the worklist runs dry does a scan of the live entries pick the
-  next pivot. A pivot also costs the fill it makes (none at cost 0); the
-  sampled matrices are row-sparse, so this phase removes nearly every row.
+  next pivot. The scan visits rows shortest first: with no singleton unit
+  left, an entry costs at least its row's nnz - 1, so the scan stops at the
+  first row whose nnz - 1 reaches the best cost found. A pivot also costs
+  the fill it makes (none at cost 0); the sampled matrices are row-sparse,
+  so this phase removes nearly every row.
 - Core phase. The rows and columns that still hold a nonzero entry form a
   dense core with no unit entry. `_diagonalize` reduces it by
   minimum-absolute-value pivoting with full row and column reduction; its
@@ -167,10 +170,17 @@ def _sparse_rows(mat):
 
 
 def _unit_pivot(live, cols):
-    """The +-1 entry of least Markowitz cost as (row, column), or None."""
+    """The +-1 entry of least Markowitz cost as (row, column), or None.
+
+    Live rows are visited shortest first. Every +-1 alone in its row or
+    column is already on the worklist, so a scanned entry costs at least its
+    row's nnz - 1, and the scan stops once that reaches the best cost found.
+    """
     best, best_cost = None, None
-    for i, row in live.items():
+    for i, row in sorted(live.items(), key=lambda item: len(item[1])):
         row_cost = len(row) - 1
+        if best is not None and row_cost >= best_cost:
+            break
         for j, v in row.items():
             if v == 1 or v == -1:
                 cost = row_cost * (len(cols[j]) - 1)

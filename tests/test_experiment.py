@@ -315,6 +315,35 @@ def test_cli_missing_trials_file_is_reported(capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("line,reason", [
+    ('{"trial_id": 0', "line 2 is not JSON"),
+    ('{"seed": [1, 0], "n": 4}', "line 2 has no 'trial_id' field"),
+    ("[1, 2]", "line 2 is not a trial record"),
+], ids=["not-json", "no-trial-id", "not-a-record"])
+def test_cli_malformed_trials_file_is_reported(capsys, tmp_path, line, reason):
+    run_campaign(ExperimentConfig(n=4, trials=1, seed=0, k=3), out_dir=str(tmp_path))
+    trials = tmp_path / "trials.jsonl"
+    trials.write_text(trials.read_text() + line + "\n")
+    assert main(["report", "--trials", str(trials), "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {trials} {reason}")
+    assert captured.out == ""
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a campaign with ROWSPARSE_WORKERS > 1 needs concurrent.futures and multiprocessing
+    script = (
+        "import sys, rowsparse, rowsparse.cli\n"
+        "pool = ('concurrent', 'multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in pool))\n"
+    )
+    src = str(Path(rowsparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
+
+
 def test_cli_sample_checks_primes_before_drawing(capsys):
     assert main(["sample", "--n", "5", "--k", "3", "--primes", "4"]) == 2
     captured = capsys.readouterr()

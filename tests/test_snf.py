@@ -168,6 +168,38 @@ def test_scan_never_finds_a_cost_free_pivot(monkeypatch, model):
     assert costs and min(costs) > 0
 
 
+def least_unit_cost(live, cols):
+    """Reference: the least Markowitz cost over every live +-1 entry by a full scan, or None."""
+    return min(((len(row) - 1) * (len(cols[j]) - 1)
+                for row in live.values() for j, v in row.items() if v in (1, -1)), default=None)
+
+
+@pytest.mark.parametrize("model,n,draws", [
+    ("hypertree", 8, 10), ("hypertree", 16, 10), ("hypertree", 20, 4), ("bn_matrix", 30, 10),
+], ids=["hypertree-8", "hypertree-16", "hypertree-20", "bn_matrix"])
+def test_scan_stops_early_at_a_least_cost_pivot(monkeypatch, model, n, draws):
+    # the shortest-row-first scan stops early but still takes a +-1 of least Markowitz cost
+    scans = []
+
+    def traced(live, cols, _scan=snf._unit_pivot):
+        least = least_unit_cost(live, cols)
+        pivot = _scan(live, cols)
+        if pivot is None:
+            assert least is None
+        else:
+            i, j = pivot
+            assert live[i][j] in (1, -1)
+            scans.append(((len(live[i]) - 1) * (len(cols[j]) - 1), least))
+        return pivot
+
+    monkeypatch.setattr(snf, "_unit_pivot", traced)
+    for seed in range(draws):
+        rng = np.random.default_rng(seed)
+        mat = sample_matrix(n, 3, rng) if model == "bn_matrix" else sample_hypertree(n, rng)[1]
+        assert cokernel(mat) == dense_cokernel(mat)
+    assert scans and all(cost == least for cost, least in scans)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_unit_triangular_pivots_all_come_off_the_worklist(monkeypatch, seed):
     # a row- and column-permuted unit-triangular +-1 matrix eliminates by singletons alone
