@@ -44,7 +44,6 @@ from .sampling import (
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
-    SamplerConfig,
     enumerate_distribution,
     exact_subset_probability,
     marginal_leverage,

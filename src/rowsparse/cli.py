@@ -8,8 +8,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .defect import bonferroni_lower, corank_tail_floor, isolated_double_probability, mc_corank_tail
 from .errors import DegenerateHostError, InvalidInputError, SizeLimitError
 from .experiment import (
@@ -28,7 +26,7 @@ from .groups import (
     p_groups_up_to,
 )
 from .moments import surjection_moment_exact
-from .sampling import SamplerConfig, sample_hypertree, sample_matrix
+from .sampling import sample_hypertree, sample_matrix
 from .snf import cokernel, sylow
 
 
@@ -59,15 +57,13 @@ def _add_common(sub):
 
 def cmd_sample(args):
     primes = _parse_primes(args.primes)  # before the draw, so a bad prime prints no matrix
-    cfg = SamplerConfig(seed=args.seed, precision_mode=args.precision)
-    rng = np.random.default_rng(args.seed)
     if args.model == "hypertree":
-        faces, mat = sample_hypertree(args.n, rng, cfg)
+        faces, mat = sample_hypertree(args.n, args.seed, args.precision)
         print("faces:", " ".join("".join(map(str, f)) for f in faces))
     else:
         if args.k is None:
             raise InvalidInputError("--k is required for the bn_matrix model")
-        mat = sample_matrix(args.n, args.k, rng, cfg)
+        mat = sample_matrix(args.n, args.k, args.seed, args.precision)
     for row in mat:
         print(" ".join(f"{x:3d}" for x in row))
     cok = cokernel(mat)
@@ -128,8 +124,7 @@ def cmd_defect(args):
     print(f"bonferroni lower bound  : {float(bound):.9f}")
     print(f"asymptotic floor        : {corank_tail_floor(args.k, args.r):.9f}")
     if args.trials:
-        est, se = mc_corank_tail(args.n, args.k, args.r, args.trials,
-                                 np.random.default_rng(args.seed))
+        est, se = mc_corank_tail(args.n, args.k, args.r, args.trials, args.seed, args.precision)
         print(f"monte carlo estimate    : {est:.6f} +- {se:.6f} ({args.trials} trials)")
     return 0
 

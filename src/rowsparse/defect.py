@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sampling
 from .errors import InvalidInputError
-from .sampling import DEFAULT_CONFIG, _as_rng, sample_matrix
+from .sampling import _as_rng, sample_matrix
 from .snf import rank_mod_p
 from .structured import gram_determinant
 
@@ -74,16 +74,16 @@ def corank_tail_floor(k, r):
     return (2 * (k - 1) / math.exp(k - 1)) ** r / (4 * math.factorial(r))
 
 
-def mc_corank_tail(n, k, r, trials, rng=None, config=DEFAULT_CONFIG):
+def mc_corank_tail(n, k, r, trials, rng=None, precision="float64"):
     """Monte Carlo estimate of P(F_2-corank >= r) with its binomial standard error."""
     if r == 0:
         return 1.0, 0.0
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
-    rng = _as_rng(rng, config)
+    rng = _as_rng(rng)
     hits = 0
     for _ in range(trials):
-        mat = sample_matrix(n, k, rng, config)
+        mat = sample_matrix(n, k, rng, precision)
         _, corank = rank_mod_p(mat, 2)
         if corank >= r:
             hits += 1

@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .groups import (
     p_groups_up_to,
     sur_count_cokernel,
 )
-from .sampling import BasisSumRows, BoundaryRows, SamplerConfig, cached_family, sample_volume
+from .sampling import BasisSumRows, BoundaryRows, cached_family, sample_volume
 from .snf import cokernel, rank_mod_p, sylow
 
 WORKERS_ENV = "ROWSPARSE_WORKERS"
@@ -61,6 +62,7 @@ class ExperimentConfig:
                 raise InvalidInputError("k must be >= 3")
         if self.model == "hypertree" and self.n < 4:
             raise InvalidInputError("hypertree model needs n >= 4")
+        self.resolve_k()  # a malformed schedule fails here, before any draw or worker
 
     def resolve_k(self):
         """Row weight at this n; schedules are clamped up to the minimum weight 3."""
@@ -69,17 +71,17 @@ class ExperimentConfig:
         if self.k is not None:
             return self.k
         kind, _, arg = self.k_schedule.partition(":")
-        c = float(arg)
-        if kind == "loglog":
-            raw = c * math.log(max(math.log(max(self.n, 3)), 1e-9))
-        elif kind == "pow":
-            raw = self.n**c
-        else:
+        if kind not in ("loglog", "pow"):
             raise InvalidInputError(f"unknown k schedule {self.k_schedule!r}")
-        return max(3, math.ceil(raw))
-
-    def sampler_config(self):
-        return SamplerConfig(seed=self.seed, precision_mode=self.precision)
+        try:
+            c = float(arg)
+            if kind == "loglog":
+                raw = c * math.log(max(math.log(max(self.n, 3)), 1e-9))
+            else:
+                raw = self.n**c
+            return max(3, math.ceil(raw))
+        except (ValueError, OverflowError):  # no number, or no finite weight (inf, nan)
+            raise InvalidInputError(f"k schedule {self.k_schedule!r} gives no row weight") from None
 
 
 @dataclass
@@ -136,7 +138,7 @@ def run_trial(cfg, trial_id):
     start = time.perf_counter()
     family = _trial_family(cfg)
     rng = np.random.default_rng([cfg.seed, trial_id])
-    subset = sample_volume(family, rng, cfg.sampler_config())
+    subset = sample_volume(family, rng, cfg.precision)
     mat = [family.dense_row(family.item_index(ident)) for ident in subset]
     cok = cokernel(mat)
     syl = {}
@@ -159,12 +161,6 @@ def run_trial(cfg, trial_id):
     )
 
 
-def _worker_run(args):
-    cfg_dict, trial_id = args
-    cfg = ExperimentConfig(**cfg_dict)
-    return run_trial(cfg, trial_id)
-
-
 def worker_count():
     """Worker processes from ROWSPARSE_WORKERS: 1 when unset, capped at the CPU count."""
     text = os.environ.get(WORKERS_ENV, "1")
@@ -177,7 +173,7 @@ def worker_count():
     return min(workers, os.cpu_count() or 1)
 
 
-def run_campaign(cfg, out_dir=None, tv_prime=None, tv_cap=81, moment_groups=None):
+def run_campaign(cfg, out_dir=None, tv_cap=81):
     """Run all trials; optionally persist trials.jsonl, report.json, report.csv.
 
     Returns (records, report). Worker count comes from worker_count(); outputs
@@ -189,18 +185,12 @@ def run_campaign(cfg, out_dir=None, tv_prime=None, tv_cap=81, moment_groups=None
         # imported here: the pool's modules are a third of the package's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        cfg_dict = {
-            "n": cfg.n, "trials": cfg.trials, "seed": cfg.seed, "model": cfg.model,
-            "k": cfg.k, "k_schedule": cfg.k_schedule, "primes": cfg.primes,
-            "precision": cfg.precision,
-        }
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_worker_run, [(cfg_dict, i) for i in ids], chunksize=64))
+            records = list(pool.map(partial(run_trial, cfg), ids, chunksize=64))
     else:
         records = [run_trial(cfg, i) for i in ids]
     records.sort(key=lambda r: r.trial_id)
-    report = build_report(cfg, records, tv_prime=tv_prime, tv_cap=tv_cap,
-                          moment_groups=moment_groups)
+    report = build_report(cfg, records, tv_cap=tv_cap)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "trials.jsonl"), "w") as fh:
@@ -214,10 +204,11 @@ def run_campaign(cfg, out_dir=None, tv_prime=None, tv_cap=81, moment_groups=None
     return records, report
 
 
-def wilson_interval(successes, total, z=1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes, total):
+    """95% Wilson score interval for a binomial proportion."""
     if total == 0:
         return 0.0, 1.0
+    z = 1.96
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
@@ -348,7 +339,7 @@ def report_csv(report):
 
 
 def load_trials(path):
-    """The records of a trials.jsonl file; a malformed line raises InvalidInputError."""
+    """One campaign's trials.jsonl records; a malformed or foreign line raises InvalidInputError."""
     records = []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -360,11 +351,18 @@ def load_trials(path):
             except json.JSONDecodeError as exc:
                 raise InvalidInputError(f"{path} line {number} is not JSON: {exc.msg}") from None
             try:
-                records.append(TrialRecord.from_json_dict(data))
+                rec = TrialRecord.from_json_dict(data)
+                campaign = (rec.n, rec.k, rec.seed[0], sorted(rec.sylow))
             except KeyError as exc:
                 raise InvalidInputError(f"{path} line {number} has no {exc} field") from None
-            except (AttributeError, TypeError, ValueError):
+            except (AttributeError, IndexError, TypeError, ValueError):
                 raise InvalidInputError(f"{path} line {number} is not a trial record") from None
+            if not records:
+                first = campaign
+            elif campaign != first:
+                raise InvalidInputError(f"{path} line {number} differs from the first record "
+                                        "in n, k, seed or Sylow primes")
+            records.append(rec)
     return records
 
 

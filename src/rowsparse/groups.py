@@ -13,6 +13,8 @@ from .errors import InvalidInputError, SizeLimitError
 
 SUBGROUP_ORDER_LIMIT = 10**4
 AUTOMORPHISM_LIMIT = 10**4
+# factors kept of the Cohen-Lenstra product prod (1 - p^-i); the rest change it by < 2 p^-64
+CL_TRUNCATION = 64
 
 
 def _prime_factors(m):
@@ -300,34 +302,25 @@ def sur_count_cokernel(divisors, free_rank, G):
     return total
 
 
-def cl_probability(G, p, truncation=64):
-    """Cohen-Lenstra weight of a finite abelian p-group: prod(1-p^-i) / |Aut G|.
-
-    The infinite product is truncated at `truncation` factors; the truncation
-    error of the product is below 2 * p^-truncation.
-    """
-    if truncation < 32:
-        raise InvalidInputError("truncation depth must be >= 32")
+def cl_probability(G, p):
+    """Cohen-Lenstra weight of a finite abelian p-group: prod(1-p^-i) / |Aut G|."""
     parts = G.primary_partitions()
     if parts and set(parts) != {p}:
         raise InvalidInputError(f"{G.label()} is not a {p}-group")
     prod = 1.0
-    for i in range(1, truncation + 1):
+    for i in range(1, CL_TRUNCATION + 1):
         prod *= 1.0 - p ** (-i)
     return prod / aut_order(G)
 
 
-def cl_corank_probability(r, truncation=64):
+def cl_corank_probability(r):
     """Limiting law of the F_2-corank under Cohen-Lenstra at p = 2."""
     if r < 0:
         raise InvalidInputError("corank must be >= 0")
-    prod = 1.0
-    for i in range(1, truncation + 1):
-        prod *= 1.0 - 2.0 ** (-i)
     head = 2.0 ** (-(r * r))
     for i in range(1, r + 1):
         head /= (1.0 - 2.0 ** (-i)) ** 2
-    return head * prod
+    return head * cl_probability(FiniteAbelianGroup(), 2)  # prod (1 - 2^-i) / |Aut 0|
 
 
 def p_groups_up_to(p, max_order):

@@ -18,9 +18,11 @@ writes one row of G: O(t m + N nnz) time per pick and O(m^3 + N m nnz) per
 draw for N rows of at most nnz entries. Boundary rows (`BoundaryRows`) take
 the same path on the closed forms W = ((n+1) I - Gram) / n and
 K(x, x) = (r+1)/n. Basis-sum rows (`BasisSumRows`) take
-W = (I - gamma J) / beta, never build their n^k rows, and draw each tuple
-one slot at a time from exact marginals of Q (`BasisResidual`):
-O(n^3 + k n^2) time per draw.
+W = (I - gamma J) / beta, beta = k n^(k-1) and gamma = (k-1)/(k n), never
+build their n^k rows, and draw each tuple one slot at a time from exact
+marginals of Q (`BasisResidual`): O(n^3 + k n^2) time per draw. Their float
+state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
+range from k = 209 at n = 30) appears only in the exact methods.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -30,7 +32,6 @@ downdate Q -= (Q x)(Q x)^T / x^T Q x). The enumeration oracle is exact.
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -57,19 +58,6 @@ ENUMERATION_LIMIT = 10**6
 RESIDUAL_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    seed: int = 0
-    precision_mode: str = "float64"
-
-    def __post_init__(self):
-        if self.precision_mode not in ("float64", "exact"):
-            raise InvalidInputError(f"unknown precision mode {self.precision_mode!r}")
-
-
-DEFAULT_CONFIG = SamplerConfig()
-
-
 def _check_float_entries(entries):
     if entries > FLOAT_ENTRY_LIMIT:
         raise SizeLimitError(
@@ -88,12 +76,9 @@ def _direction(qx, xqx, leverage):
     return qx / math.sqrt(xqx)
 
 
-def _as_rng(rng, config):
-    if rng is None:
-        return np.random.default_rng(config.seed)
-    if isinstance(rng, (int, np.integer)):
-        return np.random.default_rng(int(rng))
-    return rng
+def _as_rng(rng):
+    """A Generator: rng itself, seeded from an int, or seeded from 0 when None."""
+    return np.random.default_rng(0 if rng is None else rng)
 
 
 class RowFamily:
@@ -274,10 +259,9 @@ class BasisSumRows(RowFamily):
         self.k = k
         self.ncols = n
         self.n_items = n**k
-        self._alpha = k * (k - 1) * n ** (k - 2)
-        self._beta = k * n ** (k - 1)
-        # (alpha J + beta I)^{-1} = (I - gamma J) / beta
-        self._gamma = Fraction(self._alpha, self._beta + n * self._alpha)
+        # Gram = alpha J + beta I with alpha = k (k-1) n^(k-2), beta = k n^(k-1), so
+        # W = (I - gamma J) / beta with gamma = alpha / (beta + n alpha) = (k-1)/(k n)
+        self._gamma = Fraction(k - 1, k * n)
 
     def item(self, i):
         digits = []
@@ -308,33 +292,31 @@ class BasisSumRows(RowFamily):
         return gram_determinant(self.n, self.k)
 
     def _gram_inv_exact(self):
-        return [
-            [Fraction((a == b) - self._gamma, self._beta) for b in range(self.n)]
-            for a in range(self.n)
-        ]
+        beta = self.k * self.n ** (self.k - 1)
+        return [[((a == b) - self._gamma) / beta for b in range(self.n)] for a in range(self.n)]
 
     def leverage_exact(self, i):
         sq = sum(v * v for _, v in self.sparse_row(i))
-        return Fraction(sq - self._gamma * self.k**2, self._beta)
+        return (sq - self._gamma * self.k**2) / (self.k * self.n ** (self.k - 1))
 
     def sample_float(self, rng):
         """Chain-rule draw in the n-dimensional dual space; no host row is built."""
-        _check_float_entries(self.n * self.n)
+        _check_float_entries(max(self.n * self.n, self.n * self.k))  # Q' and the n k uniforms
         residual = BasisResidual(self)
         k = self.k
         uniforms = rng.random(self.n * k).tolist()  # the stream of n rng.random(k) calls
         return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
 
     def _residual_start(self):
-        """A draw's start state: Q = W = (I - gamma J) / beta and its slot-loop aggregates."""
+        """A draw's start state: Q' = beta W = I - gamma J and its slot-loop aggregates."""
         if not hasattr(self, "_start"):
-            n, beta, gamma = self.n, self._beta, float(self._gamma)
+            n, gamma = self.n, float(self._gamma)
             self._start = (
-                (np.eye(n) - gamma) / beta,
-                [(1.0 - gamma) / beta] * n,  # diag Q
-                [(1.0 - n * gamma) / beta] * n,  # Q 1
-                n * (1.0 - gamma) / beta,  # tr Q
-                n * (1.0 - n * gamma) / beta,  # 1^T Q 1
+                np.eye(n) - gamma,
+                [1.0 - gamma] * n,  # diag Q'
+                [1.0 - n * gamma] * n,  # Q' 1
+                n * (1.0 - gamma),  # tr Q'
+                n * (1.0 - n * gamma),  # 1^T Q' 1
                 gamma * self.k**2,  # beta K(b, b) = sum_i x_i^2 - gamma k^2
             )
         return self._start
@@ -353,17 +335,18 @@ def _choose_slot(uniforms, weights):
 
 
 class BasisResidual:
-    """The residual operator Q of a basis-sum chain-rule draw.
+    """The residual operator of a basis-sum chain-rule draw, kept as q = Q' = beta Q.
 
-    Tuple b carries the residual mass r_b = x_b^T Q x_b, x_b its count vector.
-    Beside Q (n x n, numpy) the slot loop reads diag Q and Q 1 as Python lists
-    and tr Q and 1^T Q 1 as floats, so that a slot costs O(n) Python float
-    work without numpy per-call overhead. A new residual copies the host's
-    start state.
+    Tuple b carries the residual mass r_b = x_b^T Q x_b, x_b its count vector;
+    in these units a pick's Q -= g g^T reads Q' -= g' g'^T, g' = Q' x / sqrt(x^T Q' x).
+    Beside Q' (n x n, numpy) the slot loop reads diag Q' and Q' 1 as Python
+    lists and tr Q' and 1^T Q' 1 as floats, so that a slot costs O(n) Python
+    float work without numpy per-call overhead. A new residual copies the
+    host's start state.
     """
 
     def __init__(self, family):
-        self.n, self.k, self.beta = family.n, family.k, family._beta
+        self.n, self.k = family.n, family.k
         q, diag, q1, self.trace, self.ones, self.leverage_shift = family._residual_start()
         self.q, self.diag, self.q1 = q.copy(), list(diag), list(q1)
 
@@ -402,7 +385,7 @@ class BasisResidual:
     def pick(self, uniforms):
         """Draw one tuple, uniforms[s] choosing slot s, and condition Q on it."""
         slots, qx, xqx = self.walk(partial(_choose_slot, iter(uniforms)))
-        leverage = (sum(map(slots.count, slots)) - self.leverage_shift) / self.beta
+        leverage = sum(map(slots.count, slots)) - self.leverage_shift  # beta K(x, x)
         g = _direction(np.array(qx), xqx, leverage)
         self.q -= np.outer(g, g)
         g = g.tolist()
@@ -551,27 +534,29 @@ def _sample_volume_exact(family, rng):
     return tuple(sorted(family.item(j) for j in chosen))
 
 
-def sample_volume(family, rng=None, config=DEFAULT_CONFIG):
-    """Draw a row subset Y with P(Y) = det(family[Y])^2 / det(Gram)."""
-    rng = _as_rng(rng, config)
+def sample_volume(family, rng=None, precision="float64"):
+    """Draw a row subset Y with P(Y) = det(family[Y])^2 / det(Gram).
+
+    rng: a Generator (its stream continues), an int seed, or None for seed 0.
+    """
+    rng = _as_rng(rng)
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
-    if config.precision_mode == "exact":
+    if precision == "float64":
+        return family.sample_float(rng)
+    if precision == "exact":
         return _sample_volume_exact(family, rng)
-    return family.sample_float(rng)
+    raise InvalidInputError(f"unknown precision {precision!r}")
 
 
-def enumerate_distribution(family, m=None):
+def enumerate_distribution(family):
     """Exact measure of every full-size subset with nonzero determinant.
 
     Returns [(identifiers, probability)] with rational probabilities that sum
     to exactly 1 by Cauchy-Binet. The list is built once per host and kept on
     it; each call returns a fresh copy.
     """
-    if m is None:
-        m = family.ncols
-    if m != family.ncols:
-        raise InvalidInputError("subset size must equal the host column count")
+    m = family.ncols
     if math.comb(family.n_items, m) > ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"C({family.n_items},{m}) subsets exceed the enumeration guard {ENUMERATION_LIMIT}"
@@ -612,17 +597,17 @@ def marginal_leverage(b, n, k):
     return family.leverage_exact(family.item_index(tuple(b)))
 
 
-def sample_matrix(n, k, rng=None, config=DEFAULT_CONFIG):
+def sample_matrix(n, k, rng=None, precision="float64"):
     """One n x n integer matrix drawn from the (n, k) squared-determinant measure.
 
     Rows are canonicalized in lexicographic tuple order.
     """
     family = cached_family(BasisSumRows, n, k)
-    subset = sample_volume(family, rng, config)
+    subset = sample_volume(family, rng, precision)
     return [family.dense_row(family.item_index(b)) for b in subset]
 
 
-def sample_hypertree(n, rng=None, config=DEFAULT_CONFIG):
+def sample_hypertree(n, rng=None, precision="float64"):
     """A 2-dimensional hypertree on n vertices, by volume sampling boundary rows.
 
     Returns (faces, matrix): the chosen 3-subsets of [n] and the square
@@ -632,5 +617,5 @@ def sample_hypertree(n, rng=None, config=DEFAULT_CONFIG):
     if n < 4:
         raise InvalidInputError("need n >= 4 for 2-dimensional hypertrees")
     family = cached_family(BoundaryRows, n, 2)
-    subset = sample_volume(family, rng, config)
+    subset = sample_volume(family, rng, precision)
     return subset, [family.dense_row(family.item_index(f)) for f in subset]

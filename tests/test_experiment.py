@@ -271,6 +271,39 @@ def test_cli_defect(capsys):
     assert "bonferroni" in out
 
 
+@pytest.mark.parametrize("schedule", ["pow:abc", "pow", "pow:inf", "loglog:nan"])
+def test_cli_malformed_k_schedule_is_reported(capsys, schedule):
+    argv = ["campaign", "--n", "30", "--trials", "2", "--k-schedule", schedule]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and schedule in captured.err
+    assert captured.out == ""
+
+
+def test_cli_defect_passes_the_precision(capsys):
+    # 9^7 host rows exceed the exact sampler's cap, so only a run that reaches the sampler
+    # with precision exact exits 2; a float run draws and exits 0
+    argv = ["defect", "--n", "9", "--k", "7", "--trials", "100", "--precision", "exact"]
+    assert main(argv) == 2
+    assert "exact mode caps the item count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("other", [{"n": 6}, {"k": 5}, {"seed": 1}, {"primes": (2,)}],
+                         ids=["n", "k", "seed", "primes"])
+def test_cli_report_rejects_a_mixed_trials_file(capsys, tmp_path, other):
+    texts = []
+    for i, change in enumerate(({}, other)):
+        cfg = ExperimentConfig(**{"n": 4, "trials": 3, "seed": 0, "k": 3, **change})
+        run_campaign(cfg, out_dir=str(tmp_path / str(i)))
+        texts.append((tmp_path / str(i) / "trials.jsonl").read_text())
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text("".join(texts))
+    assert main(["report", "--trials", str(mixed), "--prime", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {mixed} line 4 differs from the first record")
+    assert captured.out == ""
+
+
 def test_cli_campaign_and_report(tmp_path, capsys):
     out_dir = tmp_path / "camp"
     code = main(
@@ -319,7 +352,9 @@ def test_cli_missing_trials_file_is_reported(capsys, tmp_path):
     ('{"trial_id": 0', "line 2 is not JSON"),
     ('{"seed": [1, 0], "n": 4}', "line 2 has no 'trial_id' field"),
     ("[1, 2]", "line 2 is not a trial record"),
-], ids=["not-json", "no-trial-id", "not-a-record"])
+    ('{"trial_id": 1, "seed": [], "n": 4, "k": 3, "det_zero": false, "divisors": [],'
+     ' "sylow": {}, "f2_corank": 0}', "line 2 is not a trial record"),
+], ids=["not-json", "no-trial-id", "not-a-record", "empty-seed"])
 def test_cli_malformed_trials_file_is_reported(capsys, tmp_path, line, reason):
     run_campaign(ExperimentConfig(n=4, trials=1, seed=0, k=3), out_dir=str(tmp_path))
     trials = tmp_path / "trials.jsonl"

@@ -240,8 +240,6 @@ def test_cl_probability_values():
 def test_cl_probability_guards():
     with pytest.raises(InvalidInputError):
         cl_probability(FiniteAbelianGroup((6,)), 2)
-    with pytest.raises(InvalidInputError):
-        cl_probability(FiniteAbelianGroup((2,)), 2, truncation=8)
 
 
 def test_cl_partial_sums_monotone_to_one():

@@ -440,11 +440,6 @@ def test_kl_curvature_check_z2():
     assert hdev <= 1e-3 * 2
 
 
-def test_kl_curvature_step_warning():
-    with pytest.warns(UserWarning):
-        kl_curvature_check(Z2, 3, gradient_step=1e-8)
-
-
 def test_parity_closed_forms():
     assert parity_closed_forms(4, 3, 1) == (10, 6)
     n, k = 9, 5

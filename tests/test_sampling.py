@@ -17,7 +17,6 @@ from rowsparse.sampling import (
     MatrixRows,
     RowFamily,
     RowResidual,
-    SamplerConfig,
     cached_family,
     enumerate_distribution,
     exact_subset_probability,
@@ -46,9 +45,9 @@ def b33_draws():
     return fam, counts, inclusions
 
 
-def test_sampler_config_validation():
+def test_unknown_precision_is_rejected():
     with pytest.raises(InvalidInputError):
-        SamplerConfig(precision_mode="float32")
+        sample_volume(BasisSumRows(3, 3), np.random.default_rng(0), precision="float32")
 
 
 def test_enumeration_n2():
@@ -69,11 +68,8 @@ def test_enumeration_n3_sums_to_one_exactly():
 
 
 def test_enumeration_guards():
-    fam = BasisSumRows(4, 4)  # C(256, 4) is fine; C(4^4, 4) ~ 1.7e8 is not
     with pytest.raises(SizeLimitError):
-        enumerate_distribution(BasisSumRows(5, 5))
-    with pytest.raises(InvalidInputError):
-        enumerate_distribution(fam, m=3)
+        enumerate_distribution(BasisSumRows(5, 5))  # C(5^5, 5) ~ 2.5e15 subsets
 
 
 def test_marginal_leverage_values():
@@ -140,19 +136,28 @@ def test_determinism_same_seed_same_sequence():
     a = [sample_volume(fam, np.random.default_rng(7)) for _ in range(5)]
     b = [sample_volume(fam, np.random.default_rng(7)) for _ in range(5)]
     assert a == b
-    cfg = SamplerConfig(precision_mode="exact")
-    a = [sample_volume(fam, np.random.default_rng(7), cfg) for _ in range(3)]
-    b = [sample_volume(fam, np.random.default_rng(7), cfg) for _ in range(3)]
+    a = [sample_volume(fam, np.random.default_rng(7), "exact") for _ in range(3)]
+    b = [sample_volume(fam, np.random.default_rng(7), "exact") for _ in range(3)]
     assert a == b
+    # None means seed 0; an int seed (numpy or not) starts a fresh stream
+    for precision in ("float64", "exact"):
+        draws = {sample_volume(fam, rng, precision)
+                 for rng in (None, 0, np.int64(0), np.random.default_rng(0))}
+        assert len(draws) == 1
+    # a passed Generator is used, not reseeded: its stream continues across draws
+    rng, reference = np.random.default_rng(0), np.random.default_rng(0)
+    assert [sample_volume(fam, rng) for _ in range(3)] == [
+        fam.sample_float(reference) for _ in range(3)
+    ]
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_exact_mode_matches_enumeration():
     fam = BasisSumRows(2, 3)
     dist = dict(enumerate_distribution(fam))
-    cfg = SamplerConfig(precision_mode="exact")
     rng = np.random.default_rng(31)
     draws = 3000
-    counts = Counter(sample_volume(fam, rng, cfg) for _ in range(draws))
+    counts = Counter(sample_volume(fam, rng, "exact") for _ in range(draws))
     assert all(ss in dist for ss in counts)
     tv = 0.5 * sum(abs(counts.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
@@ -160,9 +165,8 @@ def test_exact_mode_matches_enumeration():
 
 
 def test_exact_mode_item_guard():
-    cfg = SamplerConfig(precision_mode="exact")
     with pytest.raises(SizeLimitError):
-        sample_volume(BasisSumRows(8, 7), np.random.default_rng(0), cfg)
+        sample_volume(BasisSumRows(8, 7), np.random.default_rng(0), "exact")
 
 
 def test_float_size_guard():
@@ -179,6 +183,9 @@ def test_float_size_guard():
     # n^2 = 1.6e7 entries for the residual operator
     with pytest.raises(SizeLimitError):
         sample_volume(BasisSumRows(4000, 3), np.random.default_rng(0))
+    # a draw takes n k = 1.05e7 uniforms, though the residual operator has 9e6 entries
+    with pytest.raises(SizeLimitError):
+        sample_volume(BasisSumRows(3000, 3500), np.random.default_rng(0))
     # the generic path still caps its dense Gram (columns^2 = 1.05e7 for both)
     for host in (MatrixRows([[1] * 3240]), BoundaryRows(82, 2)):
         with pytest.raises(SizeLimitError):
@@ -186,6 +193,16 @@ def test_float_size_guard():
     # the largest hosts the campaigns build stay within the guard
     for host in (BasisSumRows(12, 5), BoundaryRows(16, 2)):
         assert len(sample_volume(host, np.random.default_rng(0))) == host.ncols
+
+
+@pytest.mark.parametrize("n,k", [(30, 300), (10, 1000)])
+def test_basis_draw_where_beta_leaves_the_float_range(n, k):
+    # beta = k n^(k-1) is no float here (from k = 209 at n = 30); the float state is beta Q
+    with pytest.raises(OverflowError):
+        float(k * n ** (k - 1))
+    mat = sample_matrix(n, k, rng=0)
+    assert len({tuple(row) for row in mat}) == n
+    assert all(sum(row) == k for row in mat)
 
 
 def _tuple_counts(b, n):
@@ -221,26 +238,27 @@ def test_slot_conditionals_multiply_to_residual(n, k, seed, picks):
 
         res.walk(choose)
         x = _tuple_counts(b, n)
-        assert prob[0] == pytest.approx(float(x @ res.q @ x) / (n - t), abs=1e-12)
+        beta = k * n ** (k - 1)  # res.q holds beta Q
+        assert prob[0] == pytest.approx(float(x @ res.q @ x) / beta / (n - t), abs=1e-12)
 
 
 @pytest.mark.parametrize("n,k", [(30, 3), (12, 5), (100, 3)])
 def test_basis_sampler_mass_stays_on_its_invariant(n, k):
-    # sum_x r_x = alpha 1^T Q 1 + beta tr Q must read n - t after t picks
+    # sum_x r_x = alpha 1^T Q 1 + beta tr Q must read n - t after t picks; with the kept
+    # Q' = beta Q and alpha / beta = (k-1)/n that is ((k-1)/n) 1^T Q' 1 + tr Q'
     fam = BasisSumRows(n, k)
-    alpha, beta = k * (k - 1) * n ** (k - 2), k * n ** (k - 1)
+    ratio = (k - 1) / n
     rng = np.random.default_rng([SEED, n, k])
     worst = 0.0
     for _ in range(200):
         res = BasisResidual(fam)
         for t in range(n + 1):
-            for mass in (alpha * res.q.sum() + beta * np.trace(res.q),
-                         alpha * res.ones + beta * res.trace):
+            for mass in (ratio * res.q.sum() + np.trace(res.q), ratio * res.ones + res.trace):
                 worst = max(worst, abs(mass - (n - t)))
-            # the slot loop's diag Q and Q 1 track Q itself
+            # the slot loop's diag Q' and Q' 1 track Q' itself
             lag = np.abs(np.array(res.diag) - np.diag(res.q)).max()
             lag = max(lag, np.abs(np.array(res.q1) - res.q.sum(axis=1)).max())
-            worst = max(worst, beta * lag)
+            worst = max(worst, lag)
             if t < n:
                 res.draw(rng)  # raises DegenerateHostError instead of restarting
     assert worst < 1e-9
@@ -408,7 +426,7 @@ def test_degenerate_host_raises():
         with pytest.raises(DegenerateHostError):
             sample_volume(host, np.random.default_rng(0))
         with pytest.raises(DegenerateHostError):
-            sample_volume(host, np.random.default_rng(0), SamplerConfig(precision_mode="exact"))
+            sample_volume(host, np.random.default_rng(0), "exact")
 
 
 def test_sample_matrix_shape_and_row_sums():
