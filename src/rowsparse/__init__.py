@@ -3,9 +3,9 @@
 The library samples n x n integer matrices whose rows are k-fold sums of
 standard basis vectors, with probability proportional to the squared
 determinant of the chosen rows, and computes their cokernel invariants: Smith
-normal forms, p-Sylow subgroups, exact surjection moments, near-uniform
-classification of kernel-vector types, and mod-2 corank defect bounds. A
-hypertree model over simplicial boundary matrices shares the same sampler.
+normal forms, p-Sylow subgroups, exact surjection moments, and mod-2 corank
+defect bounds. A hypertree model over simplicial boundary matrices shares the
+same sampler.
 """
 
 from .errors import (
@@ -13,7 +13,6 @@ from .errors import (
     IdentityError,
     InvalidInputError,
     SizeLimitError,
-    UndefinedFormError,
 )
 from .groups import (
     FiniteAbelianGroup,
@@ -32,7 +31,6 @@ from .snf import (
 )
 from .structured import (
     boundary_matrix,
-    build_row,
     gram_closed_form,
     gram_determinant,
     gram_rowwise,
@@ -52,24 +50,13 @@ from .sampling import (
     sample_volume,
 )
 from .moments import (
-    NearUniformLabel,
-    TypeMatrix,
     TypeVector,
     annihilation_probability,
-    ball_constants,
-    classify_near_uniform,
-    convolution_powers,
     curvature_matrix,
     expected_annihilated_exact,
-    expected_annihilated_gaussian,
-    expected_annihilated_via_kl,
     kl_curvature_check,
-    kl_divergence,
-    order2_moment_floor,
-    parity_closed_forms,
     surjection_moment_bruteforce,
     surjection_moment_exact,
-    type_measures,
 )
 from .defect import (
     bonferroni_lower,

@@ -18,7 +18,3 @@ class DegenerateHostError(RuntimeError):
 
 class IdentityError(RuntimeError):
     """An exact identity of the verify suite does not hold."""
-
-
-class UndefinedFormError(ArithmeticError):
-    """A logarithmic reformulation is undefined for this input (zero convolution weight)."""

@@ -53,17 +53,6 @@ class FiniteAbelianGroup:
         self._subgroups = None
 
     @classmethod
-    def from_factors(cls, orders):
-        """Canonicalize an arbitrary direct sum of cyclic groups."""
-        partitions = {}
-        for m in orders:
-            if m < 1:
-                raise InvalidInputError("cyclic orders must be >= 1")
-            for p, e in _prime_factors(m).items():
-                partitions.setdefault(p, []).append(e)
-        return cls._assemble(partitions)
-
-    @classmethod
     def from_partition(cls, p, partition):
         """p-group with summands Z/p^lam for lam in the partition."""
         if not is_prime(p):
@@ -89,10 +78,6 @@ class FiniteAbelianGroup:
     @property
     def order(self):
         return math.prod(self.divisors) if self.divisors else 1
-
-    @property
-    def exponent(self):
-        return self.divisors[-1] if self.divisors else 1
 
     @property
     def rank(self):

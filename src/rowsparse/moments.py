@@ -7,9 +7,10 @@ of the family. That probability depends on q only through its type vector
 
     P(A q = 0) = det(D C) * prod_a w(a)^(n_a - 1) / (k * n^((k-1) n)),
 
-where w(a) = n(k-1)_a counts (k-1)-tuples of entries summing to -a,
-D = diag(n_a) and D C is an integer matrix over the support of the type
-(see TypeMatrix), so the determinant is a fraction-free Bareiss elimination.
+where w(a) = n(k-1)_a counts (k-1)-tuples of entries summing to -a. Over the
+support of the type, D = diag(n_a) and C is the rational symmetric matrix
+C_ab = (k-1) n(k-2)_(a+b) + [a = b] n(k-1)_a / n_a, so D C is an integer
+matrix and its determinant is a fraction-free Bareiss elimination.
 Summing over types whose support generates G gives the expected number of
 surjections cok(A) -> G exactly. P(A q = 0) is invariant under Aut(G), so the
 sweep visits one type per Aut(G)-orbit, weights it by the orbit size, and
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidInputError, SizeLimitError, UndefinedFormError
+from .errors import InvalidInputError, SizeLimitError
 from .groups import FiniteAbelianGroup, automorphisms
 from .intlinalg import int_det
 
@@ -56,11 +57,6 @@ class TypeVector:
     def n(self):
         return sum(self.counts)
 
-    @property
-    def support(self):
-        els = self.group.elements
-        return tuple(els[i] for i, c in enumerate(self.counts) if c > 0)
-
 
 @lru_cache(maxsize=64)
 def _tables(G):
@@ -84,16 +80,8 @@ def _conv_arrays(tv, upto):
     return tables
 
 
-def convolution_powers(tv, ell):
-    """n(ell)_a: weighted count of ell-tuples of entries summing to -a."""
-    if not 1 <= ell <= tv.k - 1:
-        raise InvalidInputError(f"need 1 <= ell <= k-1, got {ell}")
-    table = _conv_arrays(tv, ell)[ell]
-    return {e: table[i] for i, e in enumerate(tv.group.elements)}
-
-
 def _scaled_factor(tv, sup, conv):
-    """Rows of the integer matrix D C over the support sup (see TypeMatrix)."""
+    """Rows of the integer matrix D C over the support sup."""
     k, counts = tv.k, tv.counts
     add = _tables(tv.group)[0]
     nk2, nk1 = conv[k - 2], conv[k - 1]
@@ -103,46 +91,6 @@ def _scaled_factor(tv, sup, conv):
     ]
 
 
-@dataclass(frozen=True)
-class TypeMatrix:
-    """Symmetric matrix attached to a type vector, via the congruent rational factor.
-
-    M = D^(1/2) C D^(1/2) with D = diag(n_a) over the support (the weights) and
-    C rational symmetric: C_aa = (k-1) n(k-2)_2a + n(k-1)_a / n_a and
-    C_ab = (k-1) n(k-2)_(a+b). So det(M) = det(D C) needs no square roots, and
-    D C is an integer matrix: the exact integer det is its Bareiss determinant.
-    """
-
-    elements: tuple
-    C: tuple
-    det: int
-    diag: tuple
-    weights: tuple
-
-    @classmethod
-    def build(cls, tv):
-        sup = [i for i, c in enumerate(tv.counts) if c > 0]
-        dc = _scaled_factor(tv, sup, _conv_arrays(tv, tv.k - 1))
-        weights = tuple(tv.counts[a] for a in sup)
-        els = tv.group.elements
-        return cls(
-            elements=tuple(els[i] for i in sup),
-            C=tuple(tuple(Fraction(x, w) for x in row) for row, w in zip(dc, weights)),
-            det=int_det(dc),
-            diag=tuple(row[i] for i, row in enumerate(dc)),
-            weights=weights,
-        )
-
-    def leading_minors_of_factor(self):
-        """Leading principal minors of C (all >= 0 iff PSD), from those of D C over prod n_a."""
-        out = []
-        for size in range(1, len(self.C) + 1):
-            w = self.weights[:size]
-            block = [[int(x * wa) for x in row[:size]] for row, wa in zip(self.C, w)]
-            out.append(Fraction(int_det(block), math.prod(w)))
-        return out
-
-
 def annihilation_probability(tv):
     """Exact P(A q = 0) for any fixed tuple q of this type."""
     k, n = tv.k, tv.n
@@ -150,7 +98,7 @@ def annihilation_probability(tv):
     nk1 = tables[k - 1]
     sup = [i for i, c in enumerate(tv.counts) if c > 0]
     if any(nk1[a] == 0 for a in sup):
-        # a whole row of M vanishes, so det(M) = 0
+        # a whole row of D C vanishes, so det(D C) = 0
         return Fraction(0)
     num = int_det(_scaled_factor(tv, sup, tables))
     for a in sup:
@@ -230,182 +178,11 @@ def surjection_moment_bruteforce(G, n, k):
     return total
 
 
-def type_measures(tv):
-    """(nu, mu): the empirical measure of the type and its (k-1)-fold reflected
-    convolution power, both exact, both summing to 1."""
-    G = tv.group
-    n = tv.n
-    nk1 = _conv_arrays(tv, tv.k - 1)[tv.k - 1]
-    els = G.elements
-    nu = {e: Fraction(tv.counts[i], n) for i, e in enumerate(els)}
-    mu = {e: Fraction(nk1[i], n ** (tv.k - 1)) for i, e in enumerate(els)}
-    return nu, mu
-
-
-def kl_divergence(nu, mu):
-    """KL divergence of finite measures with the 0 log 0 = 0 convention.
-
-    Returns math.inf when nu charges a point that mu misses.
-    """
-    if set(nu) != set(mu):
-        raise InvalidInputError("measures must share a common ground set")
-    total = 0.0
-    comp = 0.0
-    for x, p in nu.items():
-        if p == 0:
-            continue
-        q = mu[x]
-        if q == 0:
-            return math.inf
-        term = float(p) * (_log_rational(p) - _log_rational(q))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def _log_rational(x):
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
-
-
-def expected_annihilated_via_kl(tv):
-    """Logarithmic reformulation of the exact type weight; float64.
-
-    Must agree with expected_annihilated_exact to ~1e-9 relative wherever its
-    precondition (positive convolution weight on the support) holds.
-    """
-    G = tv.group
-    k = tv.k
-    n = tv.n
-    nk1 = _conv_arrays(tv, k - 1)[k - 1]
-    sup = [i for i, c in enumerate(tv.counts) if c > 0]
-    if any(nk1[a] == 0 for a in sup):
-        raise UndefinedFormError("zero convolution weight on the support")
-    nu, mu = type_measures(tv)
-    els = G.elements
-    # log alpha = log multinomial + n * sum nu log nu; alpha <= 1 always
-    log_alpha = math.lgamma(n + 1)
-    for c in tv.counts:
-        log_alpha -= math.lgamma(c + 1)
-    for i in sup:
-        p = nu[els[i]]
-        log_alpha += n * float(p) * _log_rational(p)
-    if log_alpha > 1e-9:
-        raise AssertionError(f"alpha exceeded 1: log alpha = {log_alpha}")
-    mm = TypeMatrix.build(tv)
-    log_ratio = _log_rational(mm.det) - math.log(k)
-    for i in sup:
-        log_ratio -= _log_rational(Fraction(nk1[i]))
-    d = kl_divergence(nu, mu)
-    return math.exp(log_alpha + log_ratio - n * d)
-
-
-# -- near-uniform classification -----------------------------------------
-
-
-def ball_constants(G, n, k):
-    """(constant, deviation_window, tail_window) controlling the near-uniform balls.
-
-    constant = 2 m^4 |G|^2 k^4 with m the exponent of G; the windows scale as
-    (k-1) * constant * sqrt(|G| n log n) and (k-1)^2 * constant * |G| log n.
-    """
-    g = G.order
-    m = G.exponent
-    constant = 2 * m**4 * g**2 * k**4
-    logn = math.log(n) if n > 1 else 0.0
-    deviation = (k - 1) * constant * math.sqrt(g * n * logn)
-    tail = (k - 1) ** 2 * constant * g * logn
-    return float(constant), deviation, tail
-
-
-@dataclass(frozen=True)
-class NearUniformLabel:
-    """Classification of a type vector against the near-uniform ball of a subgroup."""
-
-    kind: str  # "group", "subgroup", or "outside"
-    subgroup: frozenset = None
-    torsion_coset: bool = None  # subgroup balls split by a halving coset meeting the support
-    constant: float = 0.0
-    deviation_window: float = 0.0
-    tail_window: float = 0.0
-
-
-def classify_near_uniform(tv, H):
-    """Label tv against the near-uniform ball of the subgroup H.
-
-    Membership needs: the support generates G, every convolution weight on the
-    support is positive, |nu(a) - uniform_H(a)| <= deviation_window / n for
-    all a, and nu(G \\ H) <= tail_window / n. Subgroup balls are sub-labeled
-    by whether some g outside H with 2g in H has its coset meeting the
-    support.
-    """
-    G = tv.group
-    H = frozenset(tuple(h) for h in H)
-    els = G.elements
-    if G.zero not in H or any(G.add(a, b) not in H for a in H for b in H):
-        raise InvalidInputError("H is not a subgroup")
-    constant, deviation, tail = ball_constants(G, tv.n, tv.k)
-    label_out = NearUniformLabel(
-        kind="outside", constant=constant, deviation_window=deviation, tail_window=tail
-    )
-    sup = [i for i, c in enumerate(tv.counts) if c > 0]
-    if not _generates(G, sup):
-        return label_out
-    nk1 = _conv_arrays(tv, tv.k - 1)[tv.k - 1]
-    if any(nk1[a] == 0 for a in sup):
-        return label_out
-    n = tv.n
-    h = len(H)
-    for i, e in enumerate(els):
-        target = Fraction(1, h) if e in H else Fraction(0)
-        if abs(Fraction(tv.counts[i], n) - target) * n > Fraction(deviation):
-            return label_out
-    outside_mass = sum(tv.counts[i] for i, e in enumerate(els) if e not in H)
-    if Fraction(outside_mass) > Fraction(tail):
-        return label_out
-    if h == G.order:
-        return NearUniformLabel(
-            kind="group", subgroup=H, constant=constant,
-            deviation_window=deviation, tail_window=tail,
-        )
-    support = set(tv.support)
-    torsion = False
-    for g_el in els:
-        if g_el in H:
-            continue
-        if G.add(g_el, g_el) in H and any(G.add(g_el, hh) in support for hh in H):
-            torsion = True
-            break
-    return NearUniformLabel(
-        kind="subgroup", subgroup=H, torsion_coset=torsion, constant=constant,
-        deviation_window=deviation, tail_window=tail,
-    )
-
-
-# -- Gaussian shape of the main term ---------------------------------------
-
-
 def curvature_matrix(G):
     """Hessian of the KL functional at the uniform point: |G| (J + I), size |G|-1."""
-    g = G.order if isinstance(G, FiniteAbelianGroup) else int(G)
+    g = G.order
     d = g - 1
     return [[g * (1 + (i == j)) for j in range(d)] for i in range(d)]
-
-
-def expected_annihilated_gaussian(tv):
-    """Gaussian approximation of the exact type weight near the uniform point."""
-    G = tv.group
-    g = G.order
-    n = tv.n
-    q = np.array(curvature_matrix(G), dtype=np.float64)
-    y = np.array(
-        [(c - n / g) / math.sqrt(n) for c in tv.counts[1:]], dtype=np.float64
-    )
-    quad = float(y @ q @ y)
-    return math.sqrt(g) ** g / math.sqrt(2 * math.pi * n) ** (g - 1) * math.exp(-quad / 2)
 
 
 def _kl_at_float(free, G, k, add, neg):
@@ -464,27 +241,3 @@ def kl_curvature_check(G, k):
             hess[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * h * h)
     q = np.array(curvature_matrix(G), dtype=np.float64)
     return float(np.linalg.norm(grad)), float(np.abs(hess - q).max())
-
-
-# -- order-2 closed forms ---------------------------------------------------
-
-
-def parity_closed_forms(n, k, ell):
-    """For G of order 2 and the type (n - ell, ell): the two convolution weights.
-
-    n(k-1)_0 = (n^(k-1) + (n-2 ell)^(k-1)) / 2 and n(k-1)_1 is the complement.
-    """
-    if not 0 <= ell <= n:
-        raise InvalidInputError("need 0 <= ell <= n")
-    s = n ** (k - 1)
-    t = (n - 2 * ell) ** (k - 1)
-    if (s - t) % 2:
-        raise InvalidInputError("parity mismatch; is k an integer >= 3?")
-    return (s + t) // 2, (s - t) // 2
-
-
-def order2_moment_floor(k):
-    """Constant lower envelope (k-1)^2 / (4^(k-1) k) of the near-1 type's weight."""
-    if k < 3 or k % 2 == 0:
-        raise InvalidInputError("need odd k >= 3")
-    return Fraction((k - 1) ** 2, 4 ** (k - 1) * k)

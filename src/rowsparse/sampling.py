@@ -258,10 +258,14 @@ class BasisSumRows(RowFamily):
         self.n = n
         self.k = k
         self.ncols = n
-        self.n_items = n**k
         # Gram = alpha J + beta I with alpha = k (k-1) n^(k-2), beta = k n^(k-1), so
         # W = (I - gamma J) / beta with gamma = alpha / (beta + n alpha) = (k-1)/(k n)
         self._gamma = Fraction(k - 1, k * n)
+
+    @property
+    def n_items(self):
+        # built on read, so a guard can refuse a large host before n^k exists
+        return self.n**self.k
 
     def item(self, i):
         digits = []

@@ -33,15 +33,6 @@ def validate_row_tuple(b, n):
             raise InvalidInputError(f"tuple entry {x!r} is not an integer in [1, {n}]")
 
 
-def build_row(b, n):
-    """Multiplicity map of the row e_{b_1} + ... + e_{b_k} as {index: count}."""
-    validate_row_tuple(b, n)
-    row = {}
-    for x in b:
-        row[x] = row.get(x, 0) + 1
-    return row
-
-
 def row_vector(b, n):
     """Dense integer row for the tuple b."""
     validate_row_tuple(b, n)

@@ -68,13 +68,6 @@ def test_chain_validation():
     assert FiniteAbelianGroup(()).order == 1
 
 
-def test_from_factors_canonicalizes():
-    assert FiniteAbelianGroup.from_factors([2, 3]).divisors == (6,)
-    assert FiniteAbelianGroup.from_factors([4, 2]).divisors == (2, 4)
-    assert FiniteAbelianGroup.from_factors([6, 4]).divisors == (2, 12)
-    assert FiniteAbelianGroup.from_factors([1]).divisors == ()
-
-
 def test_from_partition():
     assert FiniteAbelianGroup.from_partition(2, (2, 1)).divisors == (2, 4)
     assert FiniteAbelianGroup.from_partition(3, ()).divisors == ()

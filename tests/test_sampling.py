@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -186,6 +187,11 @@ def test_float_size_guard():
     # a draw takes n k = 1.05e7 uniforms, though the residual operator has 9e6 entries
     with pytest.raises(SizeLimitError):
         sample_volume(BasisSumRows(3000, 3500), np.random.default_rng(0))
+    # (30, 10^7) is refused before anything builds n^k, a 49-million-bit integer
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        sample_matrix(30, 10**7)
+    assert time.perf_counter() - start < 1.0
     # the generic path still caps its dense Gram (columns^2 = 1.05e7 for both)
     for host in (MatrixRows([[1] * 3240]), BoundaryRows(82, 2)):
         with pytest.raises(SizeLimitError):

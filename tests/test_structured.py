@@ -8,7 +8,6 @@ from rowsparse.structured import (
     boundary_matrix,
     boundary_row_faces,
     boundary_col_faces,
-    build_row,
     gram_closed_form,
     gram_determinant,
     gram_rowwise,
@@ -32,19 +31,19 @@ def reference_gram(n, k):
     return g
 
 
-def test_build_row_counts():
-    assert build_row((1, 1, 2), 3) == {1: 2, 2: 1}
-    assert build_row((2, 2, 2), 2) == {2: 3}
-    assert build_row((1, 2, 3, 4, 1), 4) == {1: 2, 2: 1, 3: 1, 4: 1}
+def test_row_vector_counts():
+    assert row_vector((1, 1, 2), 3) == [2, 1, 0]
+    assert row_vector((2, 2, 2), 2) == [0, 3]
+    assert row_vector((1, 2, 3, 4, 1), 4) == [2, 1, 1, 1]
 
 
-def test_build_row_rejects_bad_entries():
+def test_row_vector_rejects_bad_entries():
     with pytest.raises(InvalidInputError):
-        build_row((0, 1, 2), 3)
+        row_vector((0, 1, 2), 3)
     with pytest.raises(InvalidInputError):
-        build_row((1, 2, 4), 3)
+        row_vector((1, 2, 4), 3)
     with pytest.raises(InvalidInputError):
-        build_row((1, 2), 3)
+        row_vector((1, 2), 3)
 
 
 def test_row_vector_sums_to_weight():
