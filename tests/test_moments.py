@@ -70,19 +70,30 @@ def conv(tv, ell):
     return dict(zip(tv.group.elements, _conv_arrays(tv, ell)[ell]))
 
 
-def test_convolution_examples():
+def test_convolution_powers_example():
     tv = TypeVector(Z2, (2, 1), 3)
     table = conv(tv, 2)
     assert table[(0,)] == 5 and table[(1,)] == 4
+
+
+def test_parity_closed_forms():
     # at G = Z/2 and type (n - ell, ell): n(k-1)_0 = (n^(k-1) + (n-2 ell)^(k-1)) / 2
+    def parity(n, k, ell):
+        table = conv(TypeVector(Z2, (n - ell, ell), k), k - 1)
+        return table[(0,)], table[(1,)]
+
+    assert parity(4, 3, 1) == (10, 6)
+    n, k = 9, 5
+    assert parity(n, k, 0) == (n ** (k - 1), 0)
     rng = random.Random(4)
     for _ in range(20):
         n = rng.randint(1, 30)
         ell = rng.randint(0, n)
         k = rng.choice([3, 5, 7])
         s, t = n ** (k - 1), (n - 2 * ell) ** (k - 1)
-        table = conv(TypeVector(Z2, (n - ell, ell), k), k - 1)
-        assert (table[(0,)], table[(1,)]) == ((s + t) // 2, (s - t) // 2)
+        even, odd = parity(n, k, ell)
+        assert even + odd == n ** (k - 1)
+        assert (even, odd) == ((s + t) // 2, (s - t) // 2)
 
 
 def test_convolution_first_power_is_reflection():
