@@ -10,19 +10,21 @@ of the family. That probability depends on q only through its type vector
 where w(a) = n(k-1)_a counts (k-1)-tuples of entries summing to -a. Over the
 support of the type, D = diag(n_a) and C is the rational symmetric matrix
 C_ab = (k-1) n(k-2)_(a+b) + [a = b] n(k-1)_a / n_a, so D C is an integer
-matrix and its determinant is a fraction-free Bareiss elimination.
+matrix and its determinant is a fraction-free Bareiss elimination. Every
+type of one (n, k) shares the denominator k n^((k-1) n) (TypeVector.denominator),
+so the type weights are integer numerators over it.
 Summing over types whose support generates G gives the expected number of
 surjections cok(A) -> G exactly. P(A q = 0) is invariant under Aut(G), so the
-sweep visits one type per Aut(G)-orbit, weights it by the orbit size, and
-sums integer numerators over the shared denominator k n^((k-1) n) into one
-Fraction at the end.
+sweep visits one type per Aut(G)-orbit, adds its integer weight times the orbit
+size, and builds one Fraction at the end.
 """
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,6 +58,11 @@ class TypeVector:
     @property
     def n(self):
         return sum(self.counts)
+
+    @property
+    def denominator(self):
+        """k n^((k-1) n), a common denominator of every type weight of this (n, k)."""
+        return self.k * self.n ** ((self.k - 1) * self.n)
 
 
 @lru_cache(maxsize=64)
@@ -91,25 +98,36 @@ def _scaled_factor(tv, sup, conv):
     ]
 
 
-def annihilation_probability(tv):
-    """Exact P(A q = 0) for any fixed tuple q of this type."""
-    k, n = tv.k, tv.n
+def _annihilation_numerator(tv):
+    """det(D C) * prod_a w(a)^(n_a - 1), the integer P(A q = 0) * tv.denominator."""
+    k = tv.k
     tables = _conv_arrays(tv, k - 1)
     nk1 = tables[k - 1]
     sup = [i for i, c in enumerate(tv.counts) if c > 0]
     if any(nk1[a] == 0 for a in sup):
-        # a whole row of D C vanishes, so det(D C) = 0
-        return Fraction(0)
+        return 0  # a whole row of D C vanishes, so det(D C) = 0
     num = int_det(_scaled_factor(tv, sup, tables))
     for a in sup:
         num *= nk1[a] ** (tv.counts[a] - 1)
-    return Fraction(num, k * n ** ((k - 1) * n))
+    return num
+
+
+def annihilation_probability(tv):
+    """Exact P(A q = 0) for any fixed tuple q of this type."""
+    return Fraction(_annihilation_numerator(tv), tv.denominator)
+
+
+@lru_cache(maxsize=1)
+def _factorials(n):
+    """(0!, 1!, ..., n!), built once per sweep."""
+    return tuple(itertools.accumulate(range(1, n + 1), operator.mul, initial=1))
 
 
 def expected_annihilated_exact(tv):
-    """E(number of annihilated tuples of this type) = multinomial * P(A q = 0)."""
-    mult = math.factorial(tv.n) // math.prod(map(math.factorial, tv.counts))
-    return mult * annihilation_probability(tv)
+    """E(number of annihilated tuples of this type) * tv.denominator: multinomial * numerator."""
+    fact = _factorials(tv.n)
+    mult = fact[tv.n] // math.prod(fact[c] for c in tv.counts)
+    return mult * _annihilation_numerator(tv)
 
 
 def _generates(G, support_indices):
@@ -127,12 +145,13 @@ def type_orbits(G, n):
     except SizeLimitError:
         auts = (tuple(range(G.order)),)
     g = G.order
+    # one getter per automorphism; order 1 gets tuple, as itemgetter(0) yields a scalar
+    getters = [operator.itemgetter(*p) for p in auts] if g > 1 else [tuple]
     for bars in itertools.combinations(range(n + g - 1), g - 1):  # stars and bars
         counts = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + g - 1,)))
-        if any(tuple(counts[i] for i in p) > counts for p in auts):
-            continue
-        stab = sum(1 for p in auts if tuple(counts[i] for i in p) == counts)
-        yield counts, len(auts) // stab
+        images = [get(counts) for get in getters]
+        if max(images) == counts:  # the identity is among them, so no image is larger
+            yield counts, len(auts) // images.count(counts)
 
 
 def surjection_moment_exact(G, n, k):
@@ -144,7 +163,7 @@ def surjection_moment_exact(G, n, k):
         raise SizeLimitError("too many type vectors for the exact sweep")
     if g == 1:
         return Fraction(1)
-    denom = k * n ** ((k - 1) * n)  # every type weight's denominator divides it
+    denom = k * n ** ((k - 1) * n)  # TypeVector.denominator of every type
     generates = {}
     num = 0
     for counts, size in type_orbits(G, n):
@@ -152,8 +171,7 @@ def surjection_moment_exact(G, n, k):
         if sup not in generates:
             generates[sup] = _generates(G, sup)
         if generates[sup]:
-            value = expected_annihilated_exact(TypeVector(G, counts, k))
-            num += size * value.numerator * (denom // value.denominator)
+            num += size * expected_annihilated_exact(TypeVector(G, counts, k))
     return Fraction(num, denom)
 
 
@@ -187,20 +205,11 @@ def curvature_matrix(G):
 
 def _kl_at_float(free, G, k, add, neg):
     g = G.order
-    nu = np.empty(g)
-    nu[1:] = free
-    nu[0] = 1.0 - free.sum()
+    nu = np.concatenate(([1.0 - free.sum()], free))
     cur = nu[neg]
     for _ in range(k - 2):
-        nxt = np.zeros(g)
-        for a in range(g):
-            nxt[a] = float(np.dot(nu, cur[add[a]]))
-        cur = nxt
-    total = 0.0
-    for a in range(g):
-        if nu[a] > 0:
-            total += nu[a] * math.log(nu[a] / cur[a])
-    return total
+        cur = np.array([float(np.dot(nu, cur[add[a]])) for a in range(g)])
+    return sum(nu[a] * math.log(nu[a] / cur[a]) for a in range(g) if nu[a] > 0)
 
 
 def kl_curvature_check(G, k):
@@ -215,29 +224,15 @@ def kl_curvature_check(G, k):
     if d == 0:
         return 0.0, 0.0
     add, neg = (np.array(t) for t in _tables(G))
-    x0 = np.full(d, 1.0 / g)
-
-    def f(x):
-        return _kl_at_float(x, G, k, add, neg)
-
+    x0, e = np.full(d, 1.0 / g), np.eye(d)
+    f = partial(_kl_at_float, G=G, k=k, add=add, neg=neg)
     h = 1e-4
-    grad = np.zeros(d)
-    for a in range(d):
-        xp = x0.copy()
-        xp[a] += h
-        xm = x0.copy()
-        xm[a] -= h
-        grad[a] = (f(xp) - f(xm)) / (2 * h)
+    grad = [(f(x0 + h * e[a]) - f(x0 - h * e[a])) / (2 * h) for a in range(d)]
     h = 1e-3
     hess = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            corners = []
-            for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                x = x0.copy()
-                x[a] += sa * h
-                x[b] += sb * h
-                corners.append(f(x))
-            hess[a, b] = (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * h * h)
+    signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for a, b in itertools.product(range(d), repeat=2):
+        c = [f(x0 + sa * h * e[a] + sb * h * e[b]) for sa, sb in signs]
+        hess[a, b] = (c[0] - c[1] - c[2] + c[3]) / (4 * h * h)
     q = np.array(curvature_matrix(G), dtype=np.float64)
     return float(np.linalg.norm(grad)), float(np.abs(hess - q).max())

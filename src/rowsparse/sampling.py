@@ -99,6 +99,9 @@ class RowFamily:
     def items(self):
         return [self.item(i) for i in range(self.n_items)]
 
+    def _more_items_than(self, limit):
+        return self.n_items > limit
+
     def sparse_row(self, i):
         raise NotImplementedError
 
@@ -266,6 +269,10 @@ class BasisSumRows(RowFamily):
     def n_items(self):
         # built on read, so a guard can refuse a large host before n^k exists
         return self.n**self.k
+
+    def _more_items_than(self, limit):
+        # n^k >= 2^k > limit once n > 1 and k >= limit.bit_length(); below that n^k is small
+        return self.n > 1 and self.k >= limit.bit_length() or self.n_items > limit
 
     def item(self, i):
         digits = []
@@ -513,10 +520,8 @@ def _exact_categorical(weights, total, rng):
 
 
 def _sample_volume_exact(family, rng):
-    if family.n_items > EXACT_ITEM_LIMIT:
-        raise SizeLimitError(
-            f"exact mode caps the item count at {EXACT_ITEM_LIMIT}, got {family.n_items}"
-        )
+    if family._more_items_than(EXACT_ITEM_LIMIT):  # the count itself may be too long to print
+        raise SizeLimitError(f"exact mode caps the item count at {EXACT_ITEM_LIMIT}")
     q = [list(row) for row in family._gram_inv_exact()]
     r = [family.leverage_exact(i) for i in range(family.n_items)]
     sparse_rows = family.sparse_rows()
@@ -561,10 +566,10 @@ def enumerate_distribution(family):
     it; each call returns a fresh copy.
     """
     m = family.ncols
-    if math.comb(family.n_items, m) > ENUMERATION_LIMIT:
-        raise SizeLimitError(
-            f"C({family.n_items},{m}) subsets exceed the enumeration guard {ENUMERATION_LIMIT}"
-        )
+    # C(rows, m) >= rows for 0 < m < rows, so a host of more rows than the guard is refused
+    limit = ENUMERATION_LIMIT
+    if family._more_items_than(limit) or math.comb(family.n_items, m) > limit:
+        raise SizeLimitError(f"the {m}-row subsets exceed the enumeration guard {limit}")
     if not hasattr(family, "_distribution"):
         denom = family.gram_det()
         if denom == 0:

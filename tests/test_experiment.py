@@ -399,6 +399,15 @@ def test_cli_size_limit_is_reported(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_exact_sample_past_the_printable_item_count(capsys):
+    # 30^3000 host rows: the exact guard refuses them without printing the count
+    argv = ["sample", "--n", "30", "--k", "3000", "--precision", "exact"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: exact mode caps the item count")
+    assert captured.out == ""
+
+
 def test_hypertree_campaign_smoke():
     cfg = ExperimentConfig(n=6, trials=10, seed=8, model="hypertree", primes=(2, 3))
     records, report = run_campaign(cfg)

@@ -198,11 +198,18 @@ def test_annihilation_formula_vs_bruteforce_z3_spot():
         assert annihilation_probability(tv) == brute_prob(Z3, q, 3, 3)
 
 
+def type_weight(tv):
+    """E(number of annihilated tuples of this type), from its integer numerator."""
+    return Fraction(expected_annihilated_exact(tv), tv.denominator)
+
+
 def test_expected_annihilated_multinomial():
     tv = TypeVector(Z2, (1, 1), 3)
-    assert expected_annihilated_exact(tv) == 2 * annihilation_probability(tv)
+    assert isinstance(expected_annihilated_exact(tv), int)
+    assert tv.denominator == 3 * 2**4
+    assert type_weight(tv) == 2 * annihilation_probability(tv)
     tv0 = TypeVector(Z2, (6, 0), 3)
-    assert expected_annihilated_exact(tv0) == 1
+    assert type_weight(tv0) == 1
 
 
 def test_moment_trivial_group():
@@ -224,7 +231,7 @@ def test_moment_equals_sum_over_generating_types():
         counts = (n - a, a)
         if a == 0:
             continue  # support {0} does not generate
-        total += expected_annihilated_exact(TypeVector(G, counts, k))
+        total += type_weight(TypeVector(G, counts, k))
     assert total == surjection_moment_exact(G, n, k)
 
 
@@ -235,7 +242,7 @@ def orbit_free_moment(G, n, k):
     for multiset in itertools.combinations_with_replacement(range(g), n):
         if len(G.generated([G.elements[i] for i in set(multiset)])) == g:
             counts = tuple(multiset.count(i) for i in range(g))
-            total += expected_annihilated_exact(TypeVector(G, counts, k))
+            total += type_weight(TypeVector(G, counts, k))
     return total
 
 
@@ -274,6 +281,37 @@ def test_sweep_calls_the_type_weight_once_per_orbit(monkeypatch):
     assert value == surjection_moment_bruteforce(G, 6, 3)
 
 
+# the moment-sweep benchmark's pins, far beyond brute force (|G|^n = 5^20 and 4^30)
+PINNED_SWEEPS = {
+    ((5,), 20): Fraction(
+        17868941827967832417206301705861501888183,
+        21474836480000000000000000000000000000000,
+    ),
+    ((2, 2), 30): Fraction(
+        621848206868612203220779888580641630042563312290816850458654,
+        32799459887553991095854311055290963849984109401702880859375,
+    ),
+}
+
+
+@pytest.mark.parametrize("divisors, n", list(PINNED_SWEEPS))
+def test_sweep_pinned_beyond_bruteforce(divisors, n):
+    assert surjection_moment_exact(FiniteAbelianGroup(divisors), n, 3) == PINNED_SWEEPS[divisors, n]
+
+
+def test_sweep_builds_one_fraction(monkeypatch):
+    # the orbit weights are integers over one denominator, so no per-orbit reduction
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(moments, "Fraction", counted)
+    value = surjection_moment_exact(FiniteAbelianGroup((5,)), 20, 3)
+    assert len(made) == 1 and value == PINNED_SWEEPS[(5,), 20]
+
+
 @pytest.mark.parametrize("moment", [surjection_moment_exact, surjection_moment_bruteforce])
 @pytest.mark.parametrize(
     "G, n, k",
@@ -299,5 +337,5 @@ def test_kl_curvature_check_z2():
 
 def test_order2_floor_holds_at_finite_n():
     # 9/10 of the near-1 type's floor (k-1)^2 / (4^(k-1) k), which is 1/12 at k = 3
-    value = expected_annihilated_exact(TypeVector(Z2, (999, 1), 3))
+    value = type_weight(TypeVector(Z2, (999, 1), 3))
     assert value >= Fraction(3, 40)

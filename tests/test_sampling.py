@@ -170,6 +170,31 @@ def test_exact_mode_item_guard():
         sample_volume(BasisSumRows(8, 7), np.random.default_rng(0), "exact")
 
 
+def test_item_count_shortcut_matches_n_to_the_k():
+    for n, k in itertools.product(range(1, 13), range(3, 26)):
+        host = BasisSumRows(n, k)
+        for limit in (10**5, 10**6, n**k, n**k - 1):
+            assert host._more_items_than(limit) == (n**k > limit)
+
+
+def test_guards_refuse_item_counts_too_long_to_print():
+    # 30^3000 has 4,432 digits, past Python's int-to-str limit: a guard message that
+    # formats it raises ValueError in place of SizeLimitError
+    host = BasisSumRows(30, 3000)
+    with pytest.raises(SizeLimitError):
+        sample_volume(host, 0, "exact")
+    with pytest.raises(SizeLimitError):
+        enumerate_distribution(host)
+    # at (30, 10^6) both refuse before anything builds n^k, a 4.9-million-bit integer
+    host = BasisSumRows(30, 10**6)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        sample_volume(host, 0, "exact")
+    with pytest.raises(SizeLimitError):
+        enumerate_distribution(host)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_float_size_guard():
     # (30, 6) is --k-schedule pow:0.5 at n = 30 and (100, 5) is loglog:3 at n = 100;
     # the basis-sum path allocates only its n x n residual operator, so both draw
