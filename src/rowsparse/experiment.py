@@ -412,7 +412,9 @@ def _sampler_vs_oracle(full):
     _require(sum(dist.values()) == 1, "oracle probabilities do not sum to 1")
     draws = 100_000 if full else 20_000
     rng = np.random.default_rng(20240901)
-    cnt = Counter(sampling.sample_volume(fam, rng) for _ in range(draws))
+    cnt = Counter()
+    for start in range(0, draws, sampling.DRAW_BATCH):
+        cnt.update(sampling.sample_volume(fam, rng, size=min(sampling.DRAW_BATCH, draws - start)))
     _require(all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset")
     tv = 0.5 * sum(abs(cnt.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     # a perfect sampler's TV concentrates at sum(sqrt(p)) / sqrt(2 pi draws)

@@ -22,7 +22,11 @@ W = (I - gamma J) / beta, beta = k n^(k-1) and gamma = (k-1)/(k n), never
 build their n^k rows, and draw each tuple one slot at a time from exact
 marginals of Q (`BasisResidual`): O(n^3 + k n^2) time per draw. Their float
 state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
-range from k = 209 at n = 30) appears only in the exact methods.
+range from k = 209 at n = 30) appears only in the exact methods. A call for
+many basis-sum draws (`sample_volume(..., size=B)`) runs the same walk once,
+vectorized over the B draws (`BasisResidualBatch`), and returns the B tuples
+that B single calls return; the per-call walk stays the faster one for a
+single draw and the reference the batched one is tested against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -33,7 +37,8 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import add, mul
 
 import numpy as np
 
@@ -51,11 +56,14 @@ from .structured import (
 EXACT_ITEM_LIMIT = 10**5
 # caps the float paths' arrays: the generic path's padded sparse rows
 # (items x row width) and dense Gram (columns^2), and the basis-sum path's
-# residual operator (n^2)
+# residual operators and uniforms (size x max(n^2, n k), size 1 for one draw)
 FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 # a float pick must keep more than this share of its leverage as residual mass
 RESIDUAL_TOLERANCE = 1e-9
+# the size= of a bulk caller's sample_volume calls: (3, 3) draws then keep their
+# batched arrays and returned list under about 0.3 MB
+DRAW_BATCH = 1000
 
 
 def _check_float_entries(entries):
@@ -87,7 +95,8 @@ class RowFamily:
     Subclasses fill in: n_items, ncols, item(i), sparse_row(i). The Gram
     and the generic float path (`RowResidual`, which reads the rows as
     padded sparse arrays) take every row from `sparse_rows`, built once; a
-    subclass with more structure overrides `sample_float`.
+    subclass with more structure overrides `sample_float` and
+    `sample_float_batch`.
     """
 
     n_items = 0
@@ -184,6 +193,10 @@ class RowFamily:
         residual = RowResidual(self)
         uniforms = rng.random(self.ncols).tolist()  # the stream of ncols rng.random() calls
         return tuple(sorted(self.item(residual.pick(u)) for u in uniforms))
+
+    def sample_float_batch(self, rng, size):
+        """The list of `size` successive `sample_float(rng)` draws."""
+        return [self.sample_float(rng) for _ in range(size)]
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -318,6 +331,15 @@ class BasisSumRows(RowFamily):
         uniforms = rng.random(self.n * k).tolist()  # the stream of n rng.random(k) calls
         return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
 
+    def sample_float_batch(self, rng, size):
+        """`size` successive `sample_float(rng)` draws, tuple for tuple, as one numpy walk."""
+        n, k = self.n, self.k
+        _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
+        residual = BasisResidualBatch(self, size)
+        uniforms = rng.random((size, n * k))  # row i: the stream of draw i's sample_float
+        slots = np.stack([residual.pick(uniforms[:, s : s + k]) for s in range(0, n * k, k)], 1)
+        return [tuple(sorted(map(tuple, draw))) for draw in (slots + 1).tolist()]
+
     def _residual_start(self):
         """A draw's start state: Q' = beta W = I - gamma J and its slot-loop aggregates."""
         if not hasattr(self, "_start"):
@@ -374,13 +396,16 @@ class BasisResidual:
 
         clipped at zero. The a-free terms are kept: they set how much weight
         the completions carry against the prefix. Returns the zero-based
-        slot indices, Q x as a list and x^T Q x for the finished tuple x.
+        slot indices, Q x as a list, x^T Q x and x^T x for the finished
+        tuple x.
         """
         n, k = self.n, self.k
         diag, q1, q = self.diag, self.q1, self.q
         qx = [0.0] * n
         xqx = oqx = 0.0  # x^T Q x and 1^T Q x of the prefix
         slots = []
+        counts = {}
+        sq = 0  # x^T x: a slot on an index already counted c times adds 2 c + 1
         for s in range(k):
             u = k - 1 - s
             f = 2.0 * u / n
@@ -391,26 +416,104 @@ class BasisResidual:
             oqx += q1[a]
             qx = [x + y for x, y in zip(qx, q[a].tolist())]
             slots.append(a)
-        return slots, qx, xqx
+            seen = counts.get(a, 0)
+            sq += 2 * seen + 1
+            counts[a] = seen + 1
+        return slots, qx, xqx, sq
 
     def pick(self, uniforms):
         """Draw one tuple, uniforms[s] choosing slot s, and condition Q on it."""
-        slots, qx, xqx = self.walk(partial(_choose_slot, iter(uniforms)))
-        leverage = sum(map(slots.count, slots)) - self.leverage_shift  # beta K(x, x)
-        g = _direction(np.array(qx), xqx, leverage)
+        slots, qx, xqx, sq = self.walk(partial(_choose_slot, iter(uniforms)))
+        g = _direction(np.array(qx), xqx, sq - self.leverage_shift)  # beta K(x, x)
         self.q -= np.outer(g, g)
         g = g.tolist()
-        # the slot loop's aggregates follow Q -= g g^T
-        sg = sum(g)
+        # the slot loop's aggregates follow Q -= g g^T; the sums run left to right, as
+        # np.cumsum does in the batched walk (sum() of floats is compensated from Python 3.12)
+        sg = reduce(add, g)
         self.diag = [d - x * x for d, x in zip(self.diag, g)]
         self.q1 = [o - x * sg for o, x in zip(self.q1, g)]
-        self.trace -= sum(x * x for x in g)
+        self.trace -= reduce(add, map(mul, g, g))
         self.ones -= sg * sg
         return tuple(a + 1 for a in slots)
 
     def draw(self, rng):
         """Draw one tuple with k rng.random() calls and condition Q on it."""
         return self.pick(rng.random(self.k).tolist())
+
+
+class BasisResidualBatch:
+    """The residual operators of `draws` basis-sum draws, advanced together.
+
+    `BasisResidual` vectorized over a leading draw axis: each draw keeps Q'
+    (draws, n, n), diag Q' and Q' 1 (draws, n), and tr Q' and 1^T Q' 1
+    (draws,). Every float operation is the one the per-call walk makes, in
+    its order: the weights associate as ((c + 2 qx) + diag) + f q1, and the
+    cumulative weights and the sums over g run left to right (np.cumsum,
+    not the pairwise np.sum). So each draw's state, and each tuple it picks,
+    equals that of a `BasisResidual` fed the same uniforms, bit for bit.
+    """
+
+    def __init__(self, family, draws):
+        self.n, self.k = family.n, family.k
+        q, diag, q1, trace, ones, self.leverage_shift = family._residual_start()
+        self.q = np.repeat(q[None], draws, axis=0)
+        self.diag = np.tile(diag, (draws, 1))
+        self.q1 = np.tile(q1, (draws, 1))
+        self.trace = np.full(draws, trace)
+        self.ones = np.full(draws, ones)
+
+    def pick(self, uniforms):
+        """Draw one tuple per draw, uniforms[:, s] choosing slot s, and condition each Q' on it.
+
+        Returns the zero-based slots, shape (draws, k). Raises
+        DegenerateHostError where any one draw's `BasisResidual.pick` would.
+        """
+        n, k = self.n, self.k
+        diag, q1, q = self.diag, self.q1, self.q
+        draws = len(q)
+        rows = np.arange(draws)
+        qx = np.zeros((draws, n))
+        xqx = np.zeros(draws)
+        oqx = np.zeros(draws)
+        counts = np.zeros((draws, n), dtype=np.int64)
+        sq = np.zeros(draws, dtype=np.int64)  # x^T x, grown as in BasisResidual.walk
+        slots = np.empty((draws, k), dtype=np.int64)
+        for s in range(k):
+            u = k - 1 - s
+            f = 2.0 * u / n
+            c = xqx + f * oqx + (u / n) * self.trace + (u * (u - 1) / (n * n)) * self.ones
+            weights = ((c[:, None] + 2.0 * qx) + diag) + f * q1
+            weights = np.where(weights > 0.0, weights, 0.0)
+            cum = np.cumsum(weights, axis=1)
+            total = cum[:, -1]
+            if (total <= 0.0).any():
+                raise DegenerateHostError("residual mass vanished before a full subset was chosen")
+            # bisect_right: the count of cumulative weights at or below the target
+            a = (cum <= (uniforms[:, s] * total)[:, None]).sum(axis=1)
+            top = a == n
+            if top.any():  # as _choose_slot: the last positive slot
+                a[top] = n - 1 - np.argmax(weights[top, ::-1] > 0.0, axis=1)
+            xqx = xqx + (2.0 * qx[rows, a] + diag[rows, a])
+            oqx = oqx + q1[rows, a]
+            qx = qx + q[rows, a]
+            sq += 2 * counts[rows, a] + 1
+            counts[rows, a] += 1
+            slots[:, s] = a
+        leverage = sq - self.leverage_shift  # beta K(x, x)
+        bad = ~(xqx > RESIDUAL_TOLERANCE * leverage)  # also rejects NaN
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DegenerateHostError(
+                f"drawn row kept residual {xqx[i]:.3e} of leverage {leverage[i]:.3e}"
+            )
+        g = qx / np.sqrt(xqx)[:, None]
+        q -= g[:, :, None] * g[:, None, :]
+        sg = np.cumsum(g, axis=1)[:, -1]
+        self.diag = diag - g * g
+        self.q1 = q1 - g * sg[:, None]
+        self.trace = self.trace - np.cumsum(g * g, axis=1)[:, -1]
+        self.ones = self.ones - sg * sg
+        return slots
 
 
 class BoundaryRows(RowFamily):
@@ -543,19 +646,30 @@ def _sample_volume_exact(family, rng):
     return tuple(sorted(family.item(j) for j in chosen))
 
 
-def sample_volume(family, rng=None, precision="float64"):
+def sample_volume(family, rng=None, precision="float64", size=None):
     """Draw a row subset Y with P(Y) = det(family[Y])^2 / det(Gram).
 
     rng: a Generator (its stream continues), an int seed, or None for seed 0.
+    size: None for one subset, or a positive int B for the list of the B
+    subsets that B successive calls on rng return, leaving rng in the same
+    state. A float64 basis-sum host draws them as one walk vectorized over
+    the B draws, which pays per call but not per draw; every other host and
+    precision loops.
     """
     rng = _as_rng(rng)
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
-    if precision == "float64":
-        return family.sample_float(rng)
-    if precision == "exact":
+    if precision not in ("float64", "exact"):
+        raise InvalidInputError(f"unknown precision {precision!r}")
+    if size is None:
+        if precision == "float64":
+            return family.sample_float(rng)
         return _sample_volume_exact(family, rng)
-    raise InvalidInputError(f"unknown precision {precision!r}")
+    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+        raise InvalidInputError(f"size must be a positive int, got {size!r}")
+    if precision == "float64":
+        return family.sample_float_batch(rng, int(size))
+    return [_sample_volume_exact(family, rng) for _ in range(size)]
 
 
 def enumerate_distribution(family):

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from rowsparse.errors import DegenerateHostError, InvalidInputError, SizeLimitError
 from rowsparse.intlinalg import frac_inverse, int_det
 from rowsparse.sampling import (
+    DRAW_BATCH,
     BasisResidual,
+    BasisResidualBatch,
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
@@ -37,12 +39,12 @@ def b33_draws():
     fam = cached_family(BasisSumRows, 3, 3)
     rng = np.random.default_rng(SEED)
     counts = Counter()
+    for _ in range(DRAWS // DRAW_BATCH):
+        counts.update(sample_volume(fam, rng, size=DRAW_BATCH))
     inclusions = Counter()
-    for _ in range(DRAWS):
-        subset = sample_volume(fam, rng)
-        counts[subset] += 1
+    for subset, c in counts.items():
         for b in subset:
-            inclusions[b] += 1
+            inclusions[b] += c
     return fam, counts, inclusions
 
 
@@ -273,6 +275,65 @@ def test_slot_conditionals_multiply_to_residual(n, k, seed, picks):
         assert prob[0] == pytest.approx(float(x @ res.q @ x) / beta / (n - t), abs=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(3, 8), seed=st.integers(0, 2**32 - 1))
+def test_walk_counts_the_tuple_norm(n, k, seed):
+    # the x^T x that pick checks its leverage with is x . x of the tuple's count vector
+    res = BasisResidual(BasisSumRows(n, k))
+    b = np.random.default_rng(seed).integers(0, n, size=k).tolist()
+    slots = iter(b)
+    walked, _, _, sq = res.walk(lambda weights: next(slots))
+    assert walked == b
+    x = _tuple_counts(b, n)
+    assert sq == x @ x
+
+
+def _per_call_states(fam, uniforms):
+    """Per pick of the per-call walk on one draw's uniforms: the tuple, Q', diag Q', Q' 1,
+    tr Q' and 1^T Q' 1. None if the draw raises DegenerateHostError."""
+    res = BasisResidual(fam)
+    k = fam.k
+    states = []
+    try:
+        for s in range(0, len(uniforms), k):
+            b = res.pick(uniforms[s : s + k])
+            states.append((b, res.q.copy(), res.diag, res.q1, res.trace, res.ones))
+    except DegenerateHostError:
+        return None
+    return states
+
+
+@pytest.mark.parametrize(
+    "n,k,draws", [(3, 3, 200), (4, 3, 200), (3, 5, 200), (5, 4, 200), (12, 5, 20), (30, 3, 10)]
+)
+def test_batched_walk_state_equals_per_call_state(n, k, draws):
+    # bit for bit, after every pick. A uniform of exactly 1.0 puts the target at the top of
+    # the cumulative weights, where _choose_slot falls back to the last positive slot, and
+    # leaves some draws on a tuple whose residual is float drift; 0.0 takes the first slot
+    fam = BasisSumRows(n, k)
+    rng = np.random.default_rng([SEED, n, k])
+    uniforms = rng.random((draws, n * k))
+    uniforms[rng.random(uniforms.shape) < 0.3] = 1.0
+    uniforms[rng.random(uniforms.shape) < 0.1] = 0.0
+    calls = [_per_call_states(fam, row) for row in uniforms.tolist()]
+    good = [i for i, c in enumerate(calls) if c is not None]
+    assert good
+    batch = BasisResidualBatch(fam, len(good))
+    for t in range(n):
+        slots = batch.pick(uniforms[good, t * k : (t + 1) * k]) + 1
+        for j, i in enumerate(good):
+            b, q, diag, q1, trace, ones = calls[i][t]
+            assert tuple(slots[j].tolist()) == b
+            assert np.array_equal(batch.q[j], q)
+            assert batch.diag[j].tolist() == diag and batch.q1[j].tolist() == q1
+            assert batch.trace[j] == trace and batch.ones[j] == ones
+    if len(good) < draws:  # a batch raises where any one of its draws would
+        batch = BasisResidualBatch(fam, draws)
+        with pytest.raises(DegenerateHostError):
+            for t in range(n):
+                batch.pick(uniforms[:, t * k : (t + 1) * k])
+
+
 @pytest.mark.parametrize("n,k", [(30, 3), (12, 5), (100, 3)])
 def test_basis_sampler_mass_stays_on_its_invariant(n, k):
     # sum_x r_x = alpha 1^T Q 1 + beta tr Q must read n - t after t picks; with the kept
@@ -332,6 +393,95 @@ def _full_rank_rows(seed, rows, cols):
         mat = rng.integers(-3, 4, size=(rows, cols))
         if np.linalg.matrix_rank(mat) == cols:
             return mat.tolist()
+
+
+def _batch_and_calls(fam, seed, size, precision="float64"):
+    """size= draws and as many single calls, each from its own Generator at seed."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = sample_volume(fam, rng_a, precision, size=size)
+    calls = [sample_volume(fam, rng_b, precision) for _ in range(size)]
+    return batch, calls, rng_a, rng_b
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(1, 50),
+)
+def test_batched_basis_draws_equal_successive_calls(n, k, seed, size):
+    fam = cached_family(BasisSumRows, n, k)
+    batch, calls, rng_a, rng_b = _batch_and_calls(fam, seed, size)
+    assert batch == calls
+    assert sample_volume(fam, rng_a) == sample_volume(fam, rng_b)
+
+
+@pytest.mark.parametrize(
+    "n,k,size", [(3, 3, 2000), (12, 5, 200), (30, 3, 40), (10, 1000, 2)]
+)
+def test_batched_basis_draws_equal_successive_calls_at_campaign_hosts(n, k, size):
+    fam = cached_family(BasisSumRows, n, k)
+    batch, calls, rng_a, rng_b = _batch_and_calls(fam, [SEED, n, k], size)
+    assert batch == calls
+    assert all(type(b[0]) is int for subset in batch for b in subset)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "host,precision",
+    [
+        (BoundaryRows(8, 2), "float64"),
+        (MatrixRows(_full_rank_rows(5, 40, 8)), "float64"),
+        (BasisSumRows(2, 3), "exact"),
+    ],
+    ids=["boundary-8-2", "matrix-40x8", "basis-2-3-exact"],
+)
+def test_size_loops_on_other_hosts_and_precisions(host, precision):
+    batch, calls, rng_a, rng_b = _batch_and_calls(host, 11, 6, precision)
+    assert batch == calls
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_size_is_checked_and_guarded():
+    fam = BasisSumRows(3, 3)
+    for bad in (0, -1, 2.0, "3", True, False, [2]):
+        with pytest.raises(InvalidInputError):
+            sample_volume(fam, 0, size=bad)
+    with pytest.raises(InvalidInputError):
+        sample_volume(fam, 0, "float32", size=2)
+    assert len(sample_volume(fam, 0, size=np.int64(2))) == 2
+    # size x n^2 entries of Q': 12,000 x 900 = 1.08e7 at (30, 3)
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        sample_volume(cached_family(BasisSumRows, 30, 3), 0, size=12_000)
+    # size x n k uniforms: 10 x 2e6 = 2e7 at (10, 200000), though one draw (2e6) is admitted
+    with pytest.raises(SizeLimitError):
+        sample_volume(BasisSumRows(10, 200_000), 0, size=10)
+    assert time.perf_counter() - start < 0.5  # refused before anything is allocated
+
+
+class _ScaledStartRows(BasisSumRows):
+    """A basis-sum host whose draws start from scale x (I - gamma J)."""
+
+    def __init__(self, n, k, scale):
+        super().__init__(n, k)
+        q, diag, q1, trace, ones, shift = BasisSumRows._residual_start(self)
+        self._start = (
+            scale * q, [scale * d for d in diag], [scale * o for o in q1],
+            scale * trace, scale * ones, shift,
+        )
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["no-mass", "no-residual"])
+def test_batched_draw_raises_where_a_call_would(scale):
+    # scale 0 leaves no slot any weight; scale 1e-12 leaves each picked tuple a residual
+    # far below RESIDUAL_TOLERANCE of its leverage
+    fam = _ScaledStartRows(3, 3, scale)
+    with pytest.raises(DegenerateHostError):
+        sample_volume(fam, 0)
+    with pytest.raises(DegenerateHostError):
+        sample_volume(fam, 0, size=5)
 
 
 @pytest.mark.parametrize(
