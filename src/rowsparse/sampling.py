@@ -337,8 +337,11 @@ class BasisSumRows(RowFamily):
         _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
         residual = BasisResidualBatch(self, size)
         uniforms = rng.random((size, n * k))  # row i: the stream of draw i's sample_float
-        slots = np.stack([residual.pick(uniforms[:, s : s + k]) for s in range(0, n * k, k)], 1)
-        return [tuple(sorted(map(tuple, draw))) for draw in (slots + 1).tolist()]
+        picks = [
+            list(map(tuple, (residual.pick(uniforms[:, s : s + k]) + 1).tolist()))
+            for s in range(0, n * k, k)
+        ]
+        return [tuple(sorted(draw)) for draw in zip(*picks)]
 
     def _residual_start(self):
         """A draw's start state: Q' = beta W = I - gamma J and its slot-loop aggregates."""
@@ -500,12 +503,9 @@ class BasisResidualBatch:
             counts[rows, a] += 1
             slots[:, s] = a
         leverage = sq - self.leverage_shift  # beta K(x, x)
-        bad = ~(xqx > RESIDUAL_TOLERANCE * leverage)  # also rejects NaN
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise DegenerateHostError(
-                f"drawn row kept residual {xqx[i]:.3e} of leverage {leverage[i]:.3e}"
-            )
+        bad = np.flatnonzero(~(xqx > RESIDUAL_TOLERANCE * leverage))  # also NaN
+        if len(bad):  # raise as the first such draw's own pick does
+            _direction(qx[bad[0]], xqx[bad[0]], leverage[bad[0]])
         g = qx / np.sqrt(xqx)[:, None]
         q -= g[:, :, None] * g[:, None, :]
         sg = np.cumsum(g, axis=1)[:, -1]
