@@ -37,8 +37,7 @@ import itertools
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
-from operator import add, mul
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -430,12 +429,15 @@ class BasisResidual:
         g = _direction(np.array(qx), xqx, sq - self.leverage_shift)  # beta K(x, x)
         self.q -= np.outer(g, g)
         g = g.tolist()
-        # the slot loop's aggregates follow Q -= g g^T; the sums run left to right, as
-        # np.cumsum does in the batched walk (sum() of floats is compensated from Python 3.12)
-        sg = reduce(add, g)
+        # the slot loop's aggregates follow Q -= g g^T; both sums run left to right, as
+        # np.cumsum does in BasisResidualBatch (sum() of floats is compensated from Python 3.12)
+        sg = gg = 0.0
+        for x in g:
+            sg += x
+            gg += x * x
         self.diag = [d - x * x for d, x in zip(self.diag, g)]
         self.q1 = [o - x * sg for o, x in zip(self.q1, g)]
-        self.trace -= reduce(add, map(mul, g, g))
+        self.trace -= gg
         self.ones -= sg * sg
         return tuple(a + 1 for a in slots)
 
