@@ -466,7 +466,7 @@ class _ScaledStartRows(BasisSumRows):
 
     def __init__(self, n, k, scale):
         super().__init__(n, k)
-        q, diag, q1, trace, ones, shift = BasisSumRows._residual_start(self)
+        q, diag, q1, trace, ones, shift = self._residual_start()
         self._start = (
             scale * q, [scale * d for d in diag], [scale * o for o in q1],
             scale * trace, scale * ones, shift,
