@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sampling
 from .errors import InvalidInputError
-from .sampling import _as_rng
+from .sampling import _as_rng, sample_matrix
 from .snf import rank_mod_p
 from .structured import gram_determinant
 
@@ -81,16 +81,12 @@ def mc_corank_tail(n, k, r, trials, rng=None, precision="float64"):
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
     rng = _as_rng(rng)
-    family = sampling.cached_family(sampling.BasisSumRows, n, k)
     hits = 0
-    for start in range(0, trials, sampling.DRAW_BATCH):
-        size = min(sampling.DRAW_BATCH, trials - start)
-        for subset in sampling.sample_volume(family, rng, precision, size=size):
-            # the matrix sample_matrix builds from the subset
-            mat = [family.dense_row(family.item_index(b)) for b in subset]
-            _, corank = rank_mod_p(mat, 2)
-            if corank >= r:
-                hits += 1
+    for _ in range(trials):
+        mat = sample_matrix(n, k, rng, precision)
+        _, corank = rank_mod_p(mat, 2)
+        if corank >= r:
+            hits += 1
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 

@@ -25,8 +25,9 @@ state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
 range from k = 209 at n = 30) appears only in the exact methods. A call for
 many basis-sum draws (`sample_volume(..., size=B)`) runs the same walk once,
 vectorized over the B draws (`BasisResidualBatch`), and returns the B tuples
-that B single calls return; the per-call walk stays the faster one for a
-single draw and the reference the batched one is tested against.
+that B single calls return. Below BATCH_WALK_MIN draws it loops the per-call
+walk, which is then the faster one; that walk is also the reference the
+batched one is tested against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -60,9 +61,13 @@ FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 # a float pick must keep more than this share of its leverage as residual mass
 RESIDUAL_TOLERANCE = 1e-9
-# the size= of a bulk caller's sample_volume calls: at (3, 3) one call returns a
+# the size= of the (3, 3) oracle checks' sample_volume calls: one call returns a
 # list of about 0.14 MB and allocates at most about 0.6 MB on the way
 DRAW_BATCH = 1000
+# the fewest size= draws a basis-sum host walks as one batch: per draw, the batched
+# walk beats a loop of calls from 4-6 draws at (12, 5), (30, 3) and (100, 3), from 8
+# at (3, 3) and from 10-12 at (3, 100) and (10, 1000)
+BATCH_WALK_MIN = 8
 
 
 def _check_float_entries(entries):
@@ -331,7 +336,10 @@ class BasisSumRows(RowFamily):
         return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
 
     def sample_float_batch(self, rng, size):
-        """`size` successive `sample_float(rng)` draws, tuple for tuple, as one numpy walk."""
+        """`size` successive `sample_float(rng)` draws, tuple for tuple; one numpy walk from
+        BATCH_WALK_MIN draws on."""
+        if size < BATCH_WALK_MIN:
+            return super().sample_float_batch(rng, size)
         n, k = self.n, self.k
         _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
         residual = BasisResidualBatch(self, size)
@@ -654,9 +662,9 @@ def sample_volume(family, rng=None, precision="float64", size=None):
     rng: a Generator (its stream continues), an int seed, or None for seed 0.
     size: None for one subset, or a positive int B for the list of the B
     subsets that B successive calls on rng return, leaving rng in the same
-    state. A float64 basis-sum host draws them as one walk vectorized over
-    the B draws, whose numpy call overhead per slot the B draws share; every
-    other host and precision loops.
+    state. A float64 basis-sum host draws B >= BATCH_WALK_MIN of them as one
+    walk vectorized over the B draws, whose numpy call overhead per slot the
+    B draws share; fewer draws, every other host and exact precision loop.
     """
     rng = _as_rng(rng)
     if family.ncols < 1:

@@ -88,8 +88,8 @@ def _empirical_tv(family, draws, seed):
     dist = dict(enumerate_distribution(family))
     rng = np.random.default_rng(seed)
     counts = Counter()
-    for _ in range(draws // DRAW_BATCH):
-        counts.update(sample_volume(family, rng, size=DRAW_BATCH))
+    for start in range(0, draws, DRAW_BATCH):
+        counts.update(sample_volume(family, rng, size=min(DRAW_BATCH, draws - start)))
     stray = sum(c for ss, c in counts.items() if ss not in dist)
     tv = 0.5 * sum(abs(counts.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     tv += 0.5 * stray / draws

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rowsparse import defect
 from rowsparse.defect import (
     bonferroni_lower,
     column_is_isolated_double,
@@ -118,6 +119,19 @@ def test_mc_corank_trivial_cases():
     assert mc_corank_tail(10, 3, 0, 500) == (1.0, 0.0)
     with pytest.raises(InvalidInputError):
         mc_corank_tail(10, 3, 1, 50)
+
+
+def test_mc_corank_admits_every_host_a_single_draw_admits(monkeypatch):
+    # one sample_matrix call per trial: 1,000 trials at n = 120 are no 1.44e7-entry batch
+    calls = []
+
+    def draw(n, k, rng, precision):
+        calls.append((n, k, precision))
+        return [[1, 1], [1, 1]]
+
+    monkeypatch.setattr(defect, "sample_matrix", draw)
+    assert mc_corank_tail(120, 3, 1, 1000, rng=0) == (1.0, 0.0)
+    assert calls == [(120, 3, "float64")] * 1000
 
 
 def test_mc_corank_even_weight_always_defective():

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from rowsparse import sampling
 from rowsparse.errors import DegenerateHostError, InvalidInputError, SizeLimitError
 from rowsparse.intlinalg import frac_inverse, int_det
 from rowsparse.sampling import (
+    BATCH_WALK_MIN,
     DRAW_BATCH,
     BasisResidual,
     BasisResidualBatch,
@@ -418,7 +420,7 @@ def test_batched_basis_draws_equal_successive_calls(n, k, seed, size):
 
 
 @pytest.mark.parametrize(
-    "n,k,size", [(3, 3, 2000), (12, 5, 200), (30, 3, 40), (10, 1000, 2)]
+    "n,k,size", [(3, 3, 2000), (12, 5, 200), (30, 3, 40), (10, 1000, BATCH_WALK_MIN)]
 )
 def test_batched_basis_draws_equal_successive_calls_at_campaign_hosts(n, k, size):
     fam = cached_family(BasisSumRows, n, k)
@@ -481,7 +483,15 @@ def test_batched_draw_raises_where_a_call_would(scale):
     with pytest.raises(DegenerateHostError):
         sample_volume(fam, 0)
     with pytest.raises(DegenerateHostError):
-        sample_volume(fam, 0, size=5)
+        sample_volume(fam, 0, size=BATCH_WALK_MIN)
+
+
+def test_few_draws_loop_the_per_call_walk(monkeypatch):
+    # below BATCH_WALK_MIN draws the per-call walk is the faster one
+    fam = BasisSumRows(3, 3)
+    want = sample_volume(fam, 5, size=BATCH_WALK_MIN - 1)
+    monkeypatch.setattr(sampling, "BasisResidualBatch", None)
+    assert sample_volume(fam, 5, size=BATCH_WALK_MIN - 1) == want
 
 
 @pytest.mark.parametrize(
