@@ -3,7 +3,9 @@
 A campaign draws matrices from the configured model, records Smith normal
 form data per trial, and emits a JSON-lines trial file plus JSON/CSV reports.
 Per-trial randomness derives from (seed, trial_id), so campaigns are
-reproducible trial-for-trial regardless of worker count.
+reproducible trial-for-trial regardless of worker count. A campaign draws
+its trials a chunk at a time, one `sample_volume` call on the chunk's
+per-trial Generators, which a basis-sum host serves as one batched walk.
 """
 
 import csv
@@ -15,7 +17,7 @@ import os
 import platform
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -34,6 +36,11 @@ from .sampling import BasisSumRows, BoundaryRows, cached_family, sample_volume
 from .snf import cokernel, rank_mod_p, sylow
 
 WORKERS_ENV = "ROWSPARSE_WORKERS"
+# float entries of Q' (or uniforms) in one campaign chunk's batched basis-sum walk, about
+# 7.7 MB (twice that at the peak of a downdate): a chunk holds at most
+# CHUNK_ENTRIES // max(n^2, n k) trials. Per draw, the walk stops getting cheaper at about
+# 96 draws at (100, 3) and (100, 10), and from 64-96 at (30, 3)
+CHUNK_ENTRIES = 96 * 100**2
 
 
 @dataclass(frozen=True)
@@ -95,11 +102,8 @@ class TrialRecord:
     sylow: dict  # prime -> decreasing partition (or None when infinite)
     f2_corank: int
     free_rank: int = 0
-    wall_time_ms: float = field(default=0.0, compare=False)
 
     def to_json_dict(self):
-        # wall_time_ms is intentionally not serialized: trial files are
-        # byte-identical across reruns of the same (config, seed)
         return {
             "trial_id": self.trial_id,
             "seed": list(self.seed),
@@ -133,12 +137,19 @@ def _trial_family(cfg):
     return cached_family(BoundaryRows, cfg.n, 2)
 
 
-def run_trial(cfg, trial_id):
-    """One seeded trial; the rng stream is derived from (seed, trial_id)."""
-    start = time.perf_counter()
+def _trial_rng(cfg, trial_id):
+    return np.random.default_rng([cfg.seed, trial_id])
+
+
+def run_trial(cfg, trial_id, subset=None):
+    """One seeded trial; the rng stream is derived from (seed, trial_id).
+
+    subset: the trial's draw, when the caller made it from that stream
+    (as `run_campaign` does, a chunk of trials at a time); None draws it here.
+    """
     family = _trial_family(cfg)
-    rng = np.random.default_rng([cfg.seed, trial_id])
-    subset = sample_volume(family, rng, cfg.precision)
+    if subset is None:
+        subset = sample_volume(family, _trial_rng(cfg, trial_id), cfg.precision)
     mat = [family.dense_row(family.item_index(ident)) for ident in subset]
     cok = cokernel(mat)
     syl = {}
@@ -146,7 +157,6 @@ def run_trial(cfg, trial_id):
         s = sylow(cok, p)
         syl[p] = None if s.infinite else s.partition
     _, corank2 = rank_mod_p(mat, 2)
-    elapsed = (time.perf_counter() - start) * 1000.0
     return TrialRecord(
         trial_id=trial_id,
         seed=(cfg.seed, trial_id),
@@ -157,8 +167,29 @@ def run_trial(cfg, trial_id):
         divisors=cok.divisors,
         sylow=syl,
         f2_corank=corank2,
-        wall_time_ms=elapsed,
     )
+
+
+def _run_chunk(cfg, trial_ids):
+    """The trials trial_ids, their draws taken by one sample_volume call on their streams."""
+    subsets = sample_volume(
+        _trial_family(cfg), [_trial_rng(cfg, i) for i in trial_ids], cfg.precision
+    )
+    return [run_trial(cfg, i, subset) for i, subset in zip(trial_ids, subsets)]
+
+
+def _chunks(cfg, workers=1):
+    """The trial ids as ranges of equal size, one per _run_chunk call: at most
+    CHUNK_ENTRIES // max(n^2, n k) trials on a basis-sum host (at least 1), and about a
+    multiple of `workers` ranges, so the pool's workers get even shares."""
+    if cfg.model == "bn_matrix":
+        cap = max(1, CHUNK_ENTRIES // max(cfg.n * cfg.n, cfg.n * cfg.resolve_k()))
+    else:
+        cap = cfg.trials  # the boundary draw loops, holding one draw's state at a time
+    count = -(-cfg.trials // cap)  # the fewest chunks that fit
+    count = -(-count // workers) * workers
+    size = -(-cfg.trials // count)
+    return [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
 
 
 def worker_count():
@@ -180,16 +211,17 @@ def run_campaign(cfg, out_dir=None, tv_cap=81):
     are identical either way.
     """
     workers = worker_count()
-    ids = list(range(cfg.trials))
+    chunks = _chunks(cfg, workers)
+    run = partial(_run_chunk, cfg)
     if workers > 1:
         # imported here: the pool's modules are a third of the package's import time
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(partial(run_trial, cfg), ids, chunksize=64))
+            done = list(pool.map(run, chunks))
     else:
-        records = [run_trial(cfg, i) for i in ids]
-    records.sort(key=lambda r: r.trial_id)
+        done = map(run, chunks)
+    records = [rec for chunk in done for rec in chunk]
     report = build_report(cfg, records, tv_cap=tv_cap)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -25,9 +25,10 @@ state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
 range from k = 209 at n = 30) appears only in the exact methods. A call for
 many basis-sum draws (`sample_volume(..., size=B)`) runs the same walk once,
 vectorized over the B draws (`BasisResidualBatch`), and returns the B tuples
-that B single calls return. Below BATCH_WALK_MIN draws it loops the per-call
-walk, which is then the faster one; that walk is also the reference the
-batched one is tested against.
+that B single calls return; so does a call on a list of B Generators
+(`sample_volume(family, [g_1, ..., g_B])`), one draw from each. Below
+BATCH_WALK_MIN draws it loops the per-call walk, which is then the faster
+one; that walk is also the reference the batched one is tested against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -198,9 +199,9 @@ class RowFamily:
         uniforms = rng.random(self.ncols).tolist()  # the stream of ncols rng.random() calls
         return tuple(sorted(self.item(residual.pick(u)) for u in uniforms))
 
-    def sample_float_batch(self, rng, size):
-        """The list of `size` successive `sample_float(rng)` draws."""
-        return [self.sample_float(rng) for _ in range(size)]
+    def sample_float_batch(self, rngs):
+        """The list of `sample_float(g)` for each Generator g in rngs, in order."""
+        return [self.sample_float(g) for g in rngs]
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -335,15 +336,22 @@ class BasisSumRows(RowFamily):
         uniforms = rng.random(self.n * k).tolist()  # the stream of n rng.random(k) calls
         return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
 
-    def sample_float_batch(self, rng, size):
-        """`size` successive `sample_float(rng)` draws, tuple for tuple; one numpy walk from
+    def sample_float_batch(self, rngs):
+        """`sample_float(g)` for each g in rngs, tuple for tuple; one numpy walk from
         BATCH_WALK_MIN draws on."""
+        size = len(rngs)
         if size < BATCH_WALK_MIN:
-            return super().sample_float_batch(rng, size)
+            return super().sample_float_batch(rngs)
         n, k = self.n, self.k
         _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
         residual = BasisResidualBatch(self, size)
-        uniforms = rng.random((size, n * k))  # row i: the stream of draw i's sample_float
+        # row i: the stream of draw i's sample_float; one Generator repeated (size=) gives one call
+        if rngs.count(rngs[0]) == size:
+            uniforms = rngs[0].random((size, n * k))
+        else:
+            uniforms = np.empty((size, n * k))
+            for g, row in zip(rngs, uniforms):
+                g.random(out=row)
         picks = [
             list(map(tuple, (residual.pick(uniforms[:, s : s + k]) + 1).tolist()))
             for s in range(0, n * k, k)
@@ -656,30 +664,53 @@ def _sample_volume_exact(family, rng):
     return tuple(sorted(family.item(j) for j in chosen))
 
 
+def _generator_list(rng):
+    """rng as a list when it is a list or tuple of Generators, else None (a seed or a Generator)."""
+    if not isinstance(rng, (list, tuple)):
+        return None
+    if not rng:
+        raise InvalidInputError("need at least one Generator or seed entry")
+    is_gen = [isinstance(g, np.random.Generator) for g in rng]
+    if not any(is_gen):
+        return None  # a list of ints is one seed, as for default_rng
+    if not all(is_gen):
+        raise InvalidInputError("a Generator list must hold only Generators")
+    return list(rng)
+
+
 def sample_volume(family, rng=None, precision="float64", size=None):
     """Draw a row subset Y with P(Y) = det(family[Y])^2 / det(Gram).
 
-    rng: a Generator (its stream continues), an int seed, or None for seed 0.
+    rng: a Generator (its stream continues), an int seed (or a list of ints,
+    one seed), None for seed 0, or a list of Generators [g_1, ..., g_B] for
+    the list of the B subsets that B calls sample_volume(family, g_i)
+    return, leaving each g_i in the state its call leaves it.
     size: None for one subset, or a positive int B for the list of the B
     subsets that B successive calls on rng return, leaving rng in the same
-    state. A float64 basis-sum host draws B >= BATCH_WALK_MIN of them as one
-    walk vectorized over the B draws, whose numpy call overhead per slot the
-    B draws share; fewer draws, every other host and exact precision loop.
+    state; not with a Generator list. A float64 basis-sum host draws
+    B >= BATCH_WALK_MIN of them as one walk vectorized over the B draws,
+    whose numpy call overhead per slot the B draws share; fewer draws, every
+    other host and exact precision loop.
     """
-    rng = _as_rng(rng)
+    rngs = _generator_list(rng)
+    if rngs is not None and size is not None:
+        raise InvalidInputError("give a Generator list or size=, not both")
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
     if precision not in ("float64", "exact"):
         raise InvalidInputError(f"unknown precision {precision!r}")
-    if size is None:
-        if precision == "float64":
-            return family.sample_float(rng)
-        return _sample_volume_exact(family, rng)
-    if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-        raise InvalidInputError(f"size must be a positive int, got {size!r}")
+    if rngs is None:
+        rng = _as_rng(rng)
+        if size is None:
+            if precision == "float64":
+                return family.sample_float(rng)
+            return _sample_volume_exact(family, rng)
+        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
+            raise InvalidInputError(f"size must be a positive int, got {size!r}")
+        rngs = [rng] * int(size)
     if precision == "float64":
-        return family.sample_float_batch(rng, int(size))
-    return [_sample_volume_exact(family, rng) for _ in range(size)]
+        return family.sample_float_batch(rngs)
+    return [_sample_volume_exact(family, g) for g in rngs]
 
 
 def enumerate_distribution(family):

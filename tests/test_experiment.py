@@ -27,6 +27,7 @@ from rowsparse.experiment import (
 )
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.moments import surjection_moment_exact
+from rowsparse.sampling import BATCH_WALK_MIN, FLOAT_ENTRY_LIMIT
 
 
 def test_config_validation():
@@ -110,6 +111,55 @@ def test_campaign_parallel_matches_serial(tmp_path):
     finally:
         del os.environ["ROWSPARSE_WORKERS"]
     assert [r.to_json_dict() for r in serial] == [r.to_json_dict() for r in parallel]
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (30, 3), (100, 10), (100, 252), (10, 1000), (3000, 3)])
+def test_chunk_fits_the_float_caps(n, k):
+    # arithmetic only: no draw is made
+    entries = max(n * n, n * k)
+    chunks = experiment._chunks(ExperimentConfig(n=n, trials=2 * 10**5, seed=0, k=k))
+    assert chunks[0].start == 0 and chunks[-1].stop == 2 * 10**5
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    chunk = max(map(len, chunks))
+    assert 1 <= chunk
+    assert chunk * entries <= FLOAT_ENTRY_LIMIT  # every host a single draw admits stays admitted
+    assert chunk == 1 or chunk * entries <= experiment.CHUNK_ENTRIES <= FLOAT_ENTRY_LIMIT
+
+
+def test_chunks_split_the_trials_over_the_workers():
+    def sizes(trials, workers):
+        cfg = ExperimentConfig(n=30, trials=trials, seed=0, k=3)
+        return [len(r) for r in experiment._chunks(cfg, workers)]
+
+    assert sizes(40, 1) == [40] and sizes(40, 2) == [20, 20]
+    assert sizes(41, 2) == [21, 20] and sizes(41, 3) == [14, 14, 13]
+    # 5,000 trials at up to 1,066 per chunk: five chunks of 1,000, or six for two workers
+    assert experiment.CHUNK_ENTRIES // 900 == 1066
+    assert sizes(5000, 1) == [1000] * 5 and sizes(5000, 2) == [834] * 5 + [830]
+
+
+@pytest.mark.parametrize("workers", [None, "2"], ids=["serial", "two-workers"])
+def test_chunked_campaign_equals_standalone_trials(monkeypatch, workers):
+    # two chunks: BATCH_WALK_MIN trials in the batched walk, one fewer in the per-call loop
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", BATCH_WALK_MIN * 4 * 4)
+    if workers is None:
+        monkeypatch.delenv("ROWSPARSE_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("ROWSPARSE_WORKERS", workers)
+    draws = []
+    sample = experiment.sample_volume
+
+    def counted(family, rngs, precision):
+        draws.append(len(rngs))
+        return sample(family, rngs, precision)
+
+    monkeypatch.setattr(experiment, "sample_volume", counted)
+    cfg = ExperimentConfig(n=4, trials=2 * BATCH_WALK_MIN - 1, seed=6, k=3)
+    records, _ = run_campaign(cfg)
+    if workers is None:
+        assert draws == [BATCH_WALK_MIN, BATCH_WALK_MIN - 1]  # one draw call per chunk
+    monkeypatch.setattr(experiment, "sample_volume", sample)
+    assert records == [run_trial(cfg, i) for i in range(cfg.trials)]
 
 
 def test_worker_count_validation(monkeypatch):

@@ -405,6 +405,15 @@ def _batch_and_calls(fam, seed, size, precision="float64"):
     return batch, calls, rng_a, rng_b
 
 
+def _list_and_calls(fam, seeds, precision="float64"):
+    """One call on a Generator list and one call per Generator, from twin Generators."""
+    gens_a = [np.random.default_rng(s) for s in seeds]
+    gens_b = [np.random.default_rng(s) for s in seeds]
+    batch = sample_volume(fam, gens_a, precision)
+    calls = [sample_volume(fam, g, precision) for g in gens_b]
+    return batch, calls, gens_a, gens_b
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 5),
@@ -428,6 +437,10 @@ def test_batched_basis_draws_equal_successive_calls_at_campaign_hosts(n, k, size
     assert batch == calls
     assert all(type(b[0]) is int for subset in batch for b in subset)
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # one Generator per draw, as a campaign seeds its trials
+    batch, calls, gens_a, gens_b = _list_and_calls(fam, [[SEED, i] for i in range(size)])
+    assert batch == calls
+    assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
 
 
 @pytest.mark.parametrize(
@@ -443,6 +456,10 @@ def test_size_loops_on_other_hosts_and_precisions(host, precision):
     batch, calls, rng_a, rng_b = _batch_and_calls(host, 11, 6, precision)
     assert batch == calls
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    # and so does a Generator list, past BATCH_WALK_MIN Generators
+    batch, calls, gens_a, gens_b = _list_and_calls(host, range(10), precision)
+    assert batch == calls
+    assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
 
 
 def test_size_is_checked_and_guarded():
@@ -484,6 +501,37 @@ def test_batched_draw_raises_where_a_call_would(scale):
         sample_volume(fam, 0)
     with pytest.raises(DegenerateHostError):
         sample_volume(fam, 0, size=BATCH_WALK_MIN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    k=st.integers(3, 6),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=50),
+)
+def test_generator_list_draws_equal_one_call_per_generator(n, k, seeds):
+    fam = cached_family(BasisSumRows, n, k)
+    batch, calls, gens_a, gens_b = _list_and_calls(fam, seeds)
+    assert batch == calls
+    assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
+
+
+@pytest.mark.parametrize("size", [3, BATCH_WALK_MIN, 40])
+def test_a_repeated_generator_equals_size(size):
+    fam = cached_family(BasisSumRows, 4, 3)
+    rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
+    assert sample_volume(fam, [rng_a] * size) == sample_volume(fam, rng_b, size=size)
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def test_generator_list_is_checked():
+    fam = BasisSumRows(3, 3)
+    assert sample_volume(fam, [7, 3]) == sample_volume(fam, np.random.default_rng([7, 3]))
+    for bad in ([], (), [np.random.default_rng(1), 2], [None, np.random.default_rng(1)]):
+        with pytest.raises(InvalidInputError):
+            sample_volume(fam, bad)
+    with pytest.raises(InvalidInputError):
+        sample_volume(fam, [np.random.default_rng(1)] * 2, size=2)
 
 
 def test_few_draws_loop_the_per_call_walk(monkeypatch):
