@@ -33,11 +33,12 @@ from .groups import (
     sur_count_cokernel,
 )
 from .sampling import BasisSumRows, BoundaryRows, cached_family, sample_volume
+# rank_mod_p is not called here; perfbench's traced campaigns patch it under this name
 from .snf import cokernel, rank_mod_p, sylow
 
 WORKERS_ENV = "ROWSPARSE_WORKERS"
 # float entries of Q' (or uniforms) in one campaign chunk's batched basis-sum walk, about
-# 7.7 MB (twice that at the peak of a downdate): a chunk holds at most
+# 7.7 MB (plus a downdate slice of sampling.DOWNDATE_ENTRIES): a chunk holds at most
 # CHUNK_ENTRIES // max(n^2, n k) trials. Per draw, the walk stops getting cheaper at about
 # 96 draws at (100, 3) and (100, 10), and from 64-96 at (30, 3)
 CHUNK_ENTRIES = 96 * 100**2
@@ -150,13 +151,12 @@ def run_trial(cfg, trial_id, subset=None):
     family = _trial_family(cfg)
     if subset is None:
         subset = sample_volume(family, _trial_rng(cfg, trial_id), cfg.precision)
-    mat = [family.dense_row(family.item_index(ident)) for ident in subset]
-    cok = cokernel(mat)
+    mat = [family.sparse_row(family.item_index(ident)) for ident in subset]
+    cok = cokernel(mat, family.ncols)
     syl = {}
     for p in cfg.primes:
         s = sylow(cok, p)
         syl[p] = None if s.infinite else s.partition
-    _, corank2 = rank_mod_p(mat, 2)
     return TrialRecord(
         trial_id=trial_id,
         seed=(cfg.seed, trial_id),
@@ -166,7 +166,7 @@ def run_trial(cfg, trial_id, subset=None):
         free_rank=cok.free_rank,
         divisors=cok.divisors,
         sylow=syl,
-        f2_corank=corank2,
+        f2_corank=family.ncols - len(mat) + cok.dim_mod(2),
     )
 
 

@@ -69,6 +69,8 @@ DRAW_BATCH = 1000
 # walk beats a loop of calls from 4-6 draws at (12, 5), (30, 3) and (100, 3), from 8
 # at (3, 3) and from 10-12 at (3, 100) and (10, 1000)
 BATCH_WALK_MIN = 8
+# float entries of the temporary a batched pick's downdate of Q' allocates at a time
+DOWNDATE_ENTRIES = 2**16
 
 
 def _check_float_entries(entries):
@@ -525,7 +527,10 @@ class BasisResidualBatch:
         if len(bad):  # raise as the first such draw's own pick does
             _direction(qx[bad[0]], xqx[bad[0]], leverage[bad[0]])
         g = qx / np.sqrt(xqx)[:, None]
-        q -= g[:, :, None] * g[:, None, :]
+        step = max(1, DOWNDATE_ENTRIES // (n * n))
+        for lo in range(0, draws, step):  # the outer products' temporary holds one slice
+            gs = g[lo:lo + step]
+            q[lo:lo + step] -= gs[:, :, None] * gs[:, None, :]
         sg = np.cumsum(g, axis=1)[:, -1]
         self.diag = diag - g * g
         self.q1 = q1 - g * sg[:, None]

@@ -27,7 +27,9 @@ from rowsparse.experiment import (
 )
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.moments import surjection_moment_exact
-from rowsparse.sampling import BATCH_WALK_MIN, FLOAT_ENTRY_LIMIT
+from rowsparse.sampling import BATCH_WALK_MIN, FLOAT_ENTRY_LIMIT, sample_volume
+from rowsparse.snf import cokernel
+from test_snf import rank_mod_p_reference
 
 
 def test_config_validation():
@@ -100,6 +102,26 @@ def test_trial_at_n100_k7_finishes():
     rec = run_trial(ExperimentConfig(n=100, trials=1, seed=0, k=7), 0)
     assert not rec.det_zero and rec.k == 7
     assert rec.f2_corank == sum(1 for d in rec.divisors if d % 2 == 0) == len(rec.sylow[2])
+
+
+@pytest.mark.parametrize("model,n,k", [("bn_matrix", 12, 3), ("bn_matrix", 30, 4), ("hypertree", 12, None)])
+def test_f2_corank_is_read_off_the_one_elimination(monkeypatch, model, n, k):
+    # each trial reduces its matrix once, and the F_2 corank it reads off that cokernel is
+    # the corank of Gaussian elimination over F_2
+    calls = []
+    monkeypatch.setattr(experiment, "cokernel", lambda *args: calls.append(args) or cokernel(*args))
+    monkeypatch.setattr(experiment, "rank_mod_p", lambda *args: pytest.fail("a second elimination"))
+    cfg = ExperimentConfig(n=n, trials=12, seed=7, model=model, k=k)
+    family = experiment._trial_family(cfg)
+    coranks = []
+    for i in range(cfg.trials):
+        rec = run_trial(cfg, i)
+        subset = sample_volume(family, experiment._trial_rng(cfg, i))
+        mat = [family.dense_row(family.item_index(ident)) for ident in subset]
+        assert rec.f2_corank == rank_mod_p_reference(mat, 2)[1]
+        coranks.append(rec.f2_corank)
+    assert len(calls) == cfg.trials
+    assert max(coranks) > 0
 
 
 def test_campaign_parallel_matches_serial(tmp_path):

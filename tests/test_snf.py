@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rowsparse import snf
-from rowsparse.errors import InvalidInputError
+from rowsparse.errors import InvalidInputError, SizeLimitError
 from rowsparse.intlinalg import int_det
-from rowsparse.sampling import sample_hypertree, sample_matrix
+from rowsparse.sampling import BasisSumRows, cached_family, sample_hypertree, sample_matrix, sample_volume
 from rowsparse.snf import CokernelClass, cokernel, rank_mod_p, sylow
 
 
@@ -116,6 +117,114 @@ def test_cokernel_at_n100(k):
     cok = cokernel(mat)
     assert cok.is_finite and cok.order() == abs(int_det(mat))
     assert rank_mod_p_reference(mat, 2)[1] == sum(1 for d in cok.divisors if d % 2 == 0)
+
+
+def core_of(mat):
+    """The dense core the sparse phase leaves of mat, as cokernel builds it."""
+    rows, ncols = snf._sparse_rows(mat)
+    snf._eliminate_unit_pivots(rows, ncols)
+    cols = sorted({j for row in rows.values() for j in row})
+    return [[row.get(j, 0) for j in cols] for row in rows.values() if row]
+
+
+@pytest.mark.parametrize("k,seeds", [(5, range(3)), (7, (7,))])
+def test_modular_core_equals_the_plain_loop_on_sampled_cores(k, seeds):
+    # cores of 17-19 rows at (100, 5) and 28 at (100, 7), each reduced both ways
+    for seed in seeds:
+        core = core_of(sample_matrix(100, k, rng=seed))
+        det = abs(int_det(core))
+        assert det and len(core) > 10
+        assert snf._diagonalize(core, det) == snf._diagonalize(core)
+
+
+@pytest.mark.parametrize("n,k,draws", [(6, 4, 20), (8, 5, 20), (12, 6, 10)])
+def test_micro_samples_take_the_modular_core(monkeypatch, n, k, draws):
+    # every sampled core is square and nonsingular, so it is reduced mod its |det|
+    sizes = []
+    for seed in range(draws):
+        mat = sample_matrix(n, k, rng=seed)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(snf, "_diagonalize", lambda core, modulus=0, _plain=snf._diagonalize:
+                      calls.append((core, modulus)) or _plain(core, modulus))
+            cok = cokernel(mat)
+        [(core, modulus)] = calls
+        assert modulus == abs(int_det(core)) > 0
+        sizes.append(len(core))
+        assert cok == dense_cokernel(mat)
+        assert cok.order() == abs(int_det(mat))
+    assert max(sizes) >= 3
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+def test_growing_k_divisors_multiply_to_the_determinant(seed):
+    # trial 0 of ExperimentConfig(n=100, k=10, seed=seed), drawn as run_trial draws it:
+    # cores of 37-40 rows with 101-105-bit determinants
+    mat = sample_matrix(100, 10, rng=np.random.default_rng([seed, 0]))
+    cok = cokernel(mat)
+    assert cok.is_finite and cok.order() == abs(int_det(mat))
+    for a, b in zip(cok.divisors, cok.divisors[1:]):
+        assert b % a == 0
+
+
+def test_growing_k_heavy_core_is_fast_and_keeps_the_plain_divisors():
+    # seed 1001's 37-row core took the plain loop 45-64 s; these are the divisors it gave
+    family = cached_family(BasisSumRows, 100, 10)
+    subset = sample_volume(family, np.random.default_rng([1001, 0]))
+    sparse = [family.sparse_row(family.item_index(b)) for b in subset]
+    start = time.perf_counter()
+    cok = cokernel(sparse, family.ncols)
+    assert time.perf_counter() - start < 1.0
+    assert cok == CokernelClass(0, (4, 1926941919376102256888864059160))
+
+
+@pytest.mark.parametrize("shape", ["singular", "non-square"])
+def test_a_core_without_modulus_over_the_limit_raises_before_reducing(monkeypatch, shape):
+    # no +-1 entry, so the whole matrix is the core; the plain loop must not start on it
+    rng = random.Random(3)
+    size = snf.PLAIN_CORE_LIMIT + 1
+    mat = random_matrix(rng, size, size + (shape == "non-square"), lo=2, hi=9)
+    if shape == "singular":
+        mat[-1] = [a + b for a, b in zip(mat[0], mat[1])]
+    monkeypatch.setattr(snf, "_diagonalize", lambda *args: pytest.fail("the core was reduced"))
+    start = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        cokernel(mat)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_thin_core_without_modulus_is_reduced():
+    # a thin non-square core stays under the limit however many rows it has
+    tall = [[2 * i + 2] for i in range(3 * snf.PLAIN_CORE_LIMIT)]
+    assert cokernel(tall) == CokernelClass(3 * snf.PLAIN_CORE_LIMIT - 1, (2,))
+
+
+@pytest.mark.parametrize("model", ["bn_matrix", "hypertree"])
+def test_sparse_rows_give_the_dense_cokernel(model):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        mat = sample_matrix(30, 3, rng) if model == "bn_matrix" else sample_hypertree(16, rng)[1]
+        sparse = [[(j, v) for j, v in enumerate(row) if v] for row in mat]
+        assert cokernel(sparse, len(mat[0])) == cokernel(mat)
+    # zero entries may be listed, and an empty row is a free generator
+    assert cokernel([[(0, 2), (1, 0)], []], 3) == CokernelClass(1, (2,))
+
+
+@pytest.mark.parametrize("rows,ncols", [
+    ([[(0, 1), (0, 2)]], 2),  # repeated column
+    ([[(2, 1)]], 2),  # column past ncols
+    ([[(-1, 1)]], 2),  # negative column
+    ([[(0, 1.5)]], 2),  # non-integer entry
+    ([[(0.0, 1)]], 2),  # non-integer column
+    ([[1, 2]], 2),  # a dense row
+    ([[(0, 1, 2)]], 2),  # not a pair
+    ([((j, 1) for j in range(2))], 2),  # a row with no length
+    ([[(0, 1)]], -1),
+    ([[(0, 1)]], 2.0),
+])
+def test_sparse_rows_are_checked(rows, ncols):
+    with pytest.raises(InvalidInputError):
+        cokernel(rows, ncols)
 
 
 def pivot_sources(monkeypatch, mat):
