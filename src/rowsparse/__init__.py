@@ -35,7 +35,6 @@ from .structured import (
     gram_determinant,
     gram_rowwise,
     hypertree_identity,
-    row_submatrix,
     row_vector,
 )
 from .sampling import (
@@ -43,8 +42,6 @@ from .sampling import (
     BoundaryRows,
     MatrixRows,
     enumerate_distribution,
-    exact_subset_probability,
-    marginal_leverage,
     sample_hypertree,
     sample_matrix,
     sample_volume,
@@ -62,7 +59,6 @@ from .defect import (
     bonferroni_lower,
     column_is_isolated_double,
     corank_tail_floor,
-    doubled_block_count,
     isolated_double_probability,
     mc_corank_tail,
     subset_family_mass,

@@ -58,6 +58,8 @@ def _add_common(sub):
 def cmd_sample(args):
     primes = _parse_primes(args.primes)  # before the draw, so a bad prime prints no matrix
     if args.model == "hypertree":
+        if args.k is not None:
+            raise InvalidInputError("the hypertree model takes no --k")
         faces, mat = sample_hypertree(args.n, args.seed, args.precision)
         print("faces:", " ".join("".join(map(str, f)) for f in faces))
     else:

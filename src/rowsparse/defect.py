@@ -44,15 +44,6 @@ def isolated_double_probability(n, k, r):
     return Fraction(factor**r * gram_determinant(n - r, k), gram_determinant(n, k))
 
 
-def doubled_block_count(n, k, r):
-    """Number of r-row blocks realizing the isolated-double pattern on columns 1..r."""
-    if r < 0:
-        raise InvalidInputError("r must be >= 0")
-    if r == 0:
-        return 1
-    return (math.comb(k, 2) * (n - r) ** (k - 2)) ** r
-
-
 def bonferroni_lower(n, k, r):
     """Exact Bonferroni lower bound on P(F_2-corank of the sample >= r)."""
     if not 1 <= r <= n - 1:

@@ -68,8 +68,11 @@ class ExperimentConfig:
                 raise InvalidInputError("give exactly one of k or k_schedule")
             if self.k is not None and self.k < 3:
                 raise InvalidInputError("k must be >= 3")
-        if self.model == "hypertree" and self.n < 4:
-            raise InvalidInputError("hypertree model needs n >= 4")
+        if self.model == "hypertree":
+            if self.n < 4:
+                raise InvalidInputError("hypertree model needs n >= 4")
+            if self.k is not None or self.k_schedule is not None:
+                raise InvalidInputError("the hypertree model takes no k or k_schedule")
         self.resolve_k()  # a malformed schedule fails here, before any draw or worker
 
     def resolve_k(self):
@@ -446,7 +449,7 @@ def _sampler_vs_oracle(full):
     rng = np.random.default_rng(20240901)
     cnt = Counter()
     for start in range(0, draws, sampling.DRAW_BATCH):
-        cnt.update(sampling.sample_volume(fam, rng, size=min(sampling.DRAW_BATCH, draws - start)))
+        cnt.update(sampling.sample_volume(fam, [rng] * min(sampling.DRAW_BATCH, draws - start)))
     _require(all(ss in dist for ss in cnt), "sampler emitted a zero-probability subset")
     tv = 0.5 * sum(abs(cnt.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     # a perfect sampler's TV concentrates at sum(sqrt(p)) / sqrt(2 pi draws)

@@ -22,13 +22,13 @@ W = (I - gamma J) / beta, beta = k n^(k-1) and gamma = (k-1)/(k n), never
 build their n^k rows, and draw each tuple one slot at a time from exact
 marginals of Q (`BasisResidual`): O(n^3 + k n^2) time per draw. Their float
 state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
-range from k = 209 at n = 30) appears only in the exact methods. A call for
-many basis-sum draws (`sample_volume(..., size=B)`) runs the same walk once,
-vectorized over the B draws (`BasisResidualBatch`), and returns the B tuples
-that B single calls return; so does a call on a list of B Generators
-(`sample_volume(family, [g_1, ..., g_B])`), one draw from each. Below
-BATCH_WALK_MIN draws it loops the per-call walk, which is then the faster
-one; that walk is also the reference the batched one is tested against.
+range from k = 209 at n = 30) appears only in the exact methods. A call on a
+list of B Generators (`sample_volume(family, [g_1, ..., g_B])`, where a
+Generator may repeat) runs the same walk once, vectorized over the B draws
+(`BasisResidualBatch`), and returns the B tuples that one call per entry
+returns. Below BATCH_WALK_MIN draws it loops the per-call walk, which is then
+the faster one; that walk is also the reference the batched one is tested
+against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -51,21 +51,22 @@ from .structured import (
     boundary_row_faces,
     gram_closed_form,
     gram_determinant,
+    row_vector,
     validate_row_tuple,
 )
 
 EXACT_ITEM_LIMIT = 10**5
 # caps the float paths' arrays: the generic path's padded sparse rows
 # (items x row width) and dense Gram (columns^2), and the basis-sum path's
-# residual operators and uniforms (size x max(n^2, n k), size 1 for one draw)
+# residual operators and uniforms (max(n^2, n k) per draw, times the draws walked as one batch)
 FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 # a float pick must keep more than this share of its leverage as residual mass
 RESIDUAL_TOLERANCE = 1e-9
-# the size= of the (3, 3) oracle checks' sample_volume calls: one call returns a
+# the draws per sample_volume call of the (3, 3) oracle checks: one call returns a
 # list of about 0.14 MB and allocates at most about 0.6 MB on the way
 DRAW_BATCH = 1000
-# the fewest size= draws a basis-sum host walks as one batch: per draw, the batched
+# the fewest draws a basis-sum host walks as one batch: per draw, the batched
 # walk beats a loop of calls from 4-6 draws at (12, 5), (30, 3) and (100, 3), from 8
 # at (3, 3) and from 10-12 at (3, 100) and (10, 1000)
 BATCH_WALK_MIN = 8
@@ -267,10 +268,6 @@ class RowResidual:
         r[j] = 0.0
         return j
 
-    def draw(self, rng):
-        """Pick one row with probability r_i / sum r, condition on it and return its index."""
-        return self.pick(rng.random())
-
 
 class BasisSumRows(RowFamily):
     """All rows e_{b_1}+...+e_{b_k}, b in [1,n]^k, in lexicographic tuple order."""
@@ -347,7 +344,7 @@ class BasisSumRows(RowFamily):
         n, k = self.n, self.k
         _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
         residual = BasisResidualBatch(self, size)
-        # row i: the stream of draw i's sample_float; one Generator repeated (size=) gives one call
+        # row i: the stream of draw i's sample_float; one Generator repeated gives one call
         if rngs.count(rngs[0]) == size:
             uniforms = rngs[0].random((size, n * k))
         else:
@@ -458,10 +455,6 @@ class BasisResidual:
         self.trace -= gg
         self.ones -= sg * sg
         return tuple(a + 1 for a in slots)
-
-    def draw(self, rng):
-        """Draw one tuple with k rng.random() calls and condition Q on it."""
-        return self.pick(rng.random(self.k).tolist())
 
 
 class BasisResidualBatch:
@@ -675,7 +668,8 @@ def _generator_list(rng):
         return None
     if not rng:
         raise InvalidInputError("need at least one Generator or seed entry")
-    is_gen = [isinstance(g, np.random.Generator) for g in rng]
+    # one check per distinct type, so [g] * B costs one type() pass
+    is_gen = [issubclass(t, np.random.Generator) for t in set(map(type, rng))]
     if not any(is_gen):
         return None  # a list of ints is one seed, as for default_rng
     if not all(is_gen):
@@ -683,36 +677,28 @@ def _generator_list(rng):
     return list(rng)
 
 
-def sample_volume(family, rng=None, precision="float64", size=None):
+def sample_volume(family, rng=None, precision="float64"):
     """Draw a row subset Y with P(Y) = det(family[Y])^2 / det(Gram).
 
     rng: a Generator (its stream continues), an int seed (or a list of ints,
-    one seed), None for seed 0, or a list of Generators [g_1, ..., g_B] for
-    the list of the B subsets that B calls sample_volume(family, g_i)
-    return, leaving each g_i in the state its call leaves it.
-    size: None for one subset, or a positive int B for the list of the B
-    subsets that B successive calls on rng return, leaving rng in the same
-    state; not with a Generator list. A float64 basis-sum host draws
-    B >= BATCH_WALK_MIN of them as one walk vectorized over the B draws,
-    whose numpy call overhead per slot the B draws share; fewer draws, every
-    other host and exact precision loop.
+    one seed), None for seed 0, or a list of Generators. A list of
+    Generators returns what one call per entry returns, in order, and leaves
+    each Generator where those calls leave it. A Generator may repeat, so
+    [rng] * B gives the B subsets that B successive calls on rng return. A
+    float64 basis-sum host draws B >= BATCH_WALK_MIN of them as one walk
+    vectorized over the B draws, whose numpy call overhead per slot the B
+    draws share; fewer draws, every other host and exact precision loop.
     """
     rngs = _generator_list(rng)
-    if rngs is not None and size is not None:
-        raise InvalidInputError("give a Generator list or size=, not both")
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
     if precision not in ("float64", "exact"):
         raise InvalidInputError(f"unknown precision {precision!r}")
     if rngs is None:
         rng = _as_rng(rng)
-        if size is None:
-            if precision == "float64":
-                return family.sample_float(rng)
-            return _sample_volume_exact(family, rng)
-        if isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1:
-            raise InvalidInputError(f"size must be a positive int, got {size!r}")
-        rngs = [rng] * int(size)
+        if precision == "float64":
+            return family.sample_float(rng)
+        return _sample_volume_exact(family, rng)
     if precision == "float64":
         return family.sample_float_batch(rngs)
     return [_sample_volume_exact(family, g) for g in rngs]
@@ -745,25 +731,10 @@ def enumerate_distribution(family):
     return list(family._distribution)
 
 
-def exact_subset_probability(family, identifiers):
-    """Exact P(Y) for one subset given by item identifiers."""
-    idx = [family.item_index(ident) for ident in identifiers]
-    if len(idx) != family.ncols:
-        raise InvalidInputError("subset size must equal the host column count")
-    d = int_det([family.dense_row(i) for i in idx])
-    return Fraction(d * d, family.gram_det())
-
-
 @lru_cache(maxsize=8)
 def cached_family(cls, *args):
     """The shared host cls(*args), so its Gram and leverage data are built once."""
     return cls(*args)
-
-
-def marginal_leverage(b, n, k):
-    """Inclusion probability P(b in Y) for the (n, k) basis-sum family, exact."""
-    family = cached_family(BasisSumRows, n, k)
-    return family.leverage_exact(family.item_index(tuple(b)))
 
 
 def sample_matrix(n, k, rng=None, precision="float64"):
@@ -772,8 +743,7 @@ def sample_matrix(n, k, rng=None, precision="float64"):
     Rows are canonicalized in lexicographic tuple order.
     """
     family = cached_family(BasisSumRows, n, k)
-    subset = sample_volume(family, rng, precision)
-    return [family.dense_row(family.item_index(b)) for b in subset]
+    return [row_vector(b, n) for b in sample_volume(family, rng, precision)]
 
 
 def sample_hypertree(n, rng=None, precision="float64"):

@@ -80,13 +80,6 @@ class PGroupType:
     def order(self):
         return None if self.infinite else self.prime ** sum(self.partition)
 
-    def label(self):
-        if self.infinite:
-            return "infinite"
-        if not self.partition:
-            return "1"
-        return "+".join(f"Z/{self.prime**e}" for e in self.partition)
-
 
 def _diagonalize(mat, modulus=0):
     """Integer diagonalization by minimum pivots; returns the nonzero diagonal entries.

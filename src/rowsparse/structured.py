@@ -84,18 +84,6 @@ def gram_determinant(n, k):
     return k ** (n + 1) * n ** ((k - 1) * n)
 
 
-def row_submatrix(rows, n, k=None):
-    """Square matrix whose rows are the given distinct tuples, in lex order."""
-    rows = list(rows)
-    if len(set(rows)) != len(rows):
-        raise InvalidInputError("row tuples must be distinct")
-    if len(rows) != n:
-        raise InvalidInputError(f"need exactly {n} rows, got {len(rows)}")
-    if k is not None and any(len(b) != k for b in rows):
-        raise InvalidInputError("row tuples must all have weight k")
-    return [row_vector(b, n) for b in sorted(rows)]
-
-
 def boundary_row_faces(n, r):
     """Row labels of the incidence matrix: r-subsets of [n-1], lex order."""
     return [tuple(c) for c in itertools.combinations(range(1, n), r)]

@@ -89,7 +89,7 @@ def _empirical_tv(family, draws, seed):
     rng = np.random.default_rng(seed)
     counts = Counter()
     for start in range(0, draws, DRAW_BATCH):
-        counts.update(sample_volume(family, rng, size=min(DRAW_BATCH, draws - start)))
+        counts.update(sample_volume(family, [rng] * min(DRAW_BATCH, draws - start)))
     stray = sum(c for ss, c in counts.items() if ss not in dist)
     tv = 0.5 * sum(abs(counts.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     tv += 0.5 * stray / draws

@@ -10,14 +10,13 @@ from rowsparse.defect import (
     bonferroni_lower,
     column_is_isolated_double,
     corank_tail_floor,
-    doubled_block_count,
     isolated_double_probability,
     mc_corank_tail,
     subset_family_mass,
 )
 from rowsparse.errors import InvalidInputError
 from rowsparse.snf import rank_mod_p
-from rowsparse.structured import row_submatrix
+from rowsparse.structured import gram_determinant, row_vector
 
 
 def test_column_membership_examples():
@@ -55,25 +54,34 @@ def test_isolated_double_index_invariance():
     assert len(set(pairs)) == 1
 
 
+def _doubled_block_count(n, k, r):
+    """r-row blocks realizing the isolated-double pattern on columns 1..r, by enumeration:
+    row i meets column i twice and every other column it meets lies above r."""
+    count = 1
+    for i in range(1, r + 1):
+        count *= sum(
+            1
+            for b in itertools.product(range(1, n + 1), repeat=k)
+            if b.count(i) == 2 and all(x == i or x > r for x in b)
+        )
+    return count
+
+
 def test_doubled_block_count():
-    assert doubled_block_count(3, 3, 1) == 6
-    assert doubled_block_count(5, 4, 0) == 1
-    assert doubled_block_count(4, 3, 2) == 36
+    assert _doubled_block_count(3, 3, 1) == 6
+    assert _doubled_block_count(5, 4, 0) == 1
+    assert _doubled_block_count(4, 3, 2) == 36
 
 
 def test_doubled_block_count_enumeration_oracle():
-    # r = 2, n = 4, k = 3: pairs (x1, x2) with x_i meeting i twice, rest above 2
-    def block_rows(i, n, k, r):
-        out = []
-        for b in itertools.product(range(1, n + 1), repeat=k):
-            if sum(1 for x in b if x == i) == 2 and all(x == i or x > r for x in b):
-                out.append(b)
-        return out
-
-    rows1 = block_rows(1, 4, 3, 2)
-    rows2 = block_rows(2, 4, 3, 2)
-    assert len(rows1) * len(rows2) == doubled_block_count(4, 3, 2)
-    assert len(block_rows(1, 3, 3, 1)) == doubled_block_count(3, 3, 1)
+    # the closed form (C(k, 2) (n-r)^(k-2))^r, and the column-event probability built on it:
+    # each block row's doubled column puts a factor 2^2 into det^2
+    for n, k, r in ((3, 3, 1), (4, 3, 2), (5, 4, 2)):
+        blocks = _doubled_block_count(n, k, r)
+        assert blocks == (math.comb(k, 2) * (n - r) ** (k - 2)) ** r
+        assert isolated_double_probability(n, k, r) == Fraction(
+            4**r * blocks * gram_determinant(n - r, k), gram_determinant(n, k)
+        )
 
 
 def test_bonferroni_value_and_validity_n3():
@@ -82,7 +90,7 @@ def test_bonferroni_value_and_validity_n3():
     assert bound == Fraction(112, 243)
 
     def corank_at_least_one(K):
-        _, corank = rank_mod_p(row_submatrix(K, 3), 2)
+        _, corank = rank_mod_p([row_vector(b, 3) for b in K], 2)
         return corank >= 1
 
     truth = subset_family_mass(3, 3, corank_at_least_one)

@@ -45,6 +45,9 @@ def test_config_validation():
         ExperimentConfig(n=5, trials=10, seed=0, k=3, model="surface")
     with pytest.raises(InvalidInputError):
         ExperimentConfig(n=3, trials=10, seed=0, model="hypertree")
+    for weight in ({"k": 5}, {"k_schedule": "pow:0.5"}):
+        with pytest.raises(InvalidInputError):
+            ExperimentConfig(n=6, trials=3, seed=0, model="hypertree", **weight)
 
 
 def test_k_schedule_resolution():
@@ -349,6 +352,19 @@ def test_cli_malformed_k_schedule_is_reported(capsys, schedule):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and schedule in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--model", "hypertree", "--n", "6", "--trials", "3", "--k", "5"],
+    ["campaign", "--model", "hypertree", "--n", "6", "--trials", "3", "--k-schedule", "pow:abc"],
+    ["sample", "--model", "hypertree", "--n", "6", "--k", "4"],
+], ids=["campaign-k", "campaign-k-schedule", "sample-k"])
+def test_cli_hypertree_refuses_a_row_weight(capsys, argv):
+    # the hypertree model has no row weight: a given one used to be dropped, reported as null
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "hypertree model takes no" in captured.err
     assert captured.out == ""
 
 

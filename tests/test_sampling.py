@@ -24,8 +24,6 @@ from rowsparse.sampling import (
     RowResidual,
     cached_family,
     enumerate_distribution,
-    exact_subset_probability,
-    marginal_leverage,
     sample_hypertree,
     sample_matrix,
     sample_volume,
@@ -42,12 +40,18 @@ def b33_draws():
     rng = np.random.default_rng(SEED)
     counts = Counter()
     for _ in range(DRAWS // DRAW_BATCH):
-        counts.update(sample_volume(fam, rng, size=DRAW_BATCH))
+        counts.update(sample_volume(fam, [rng] * DRAW_BATCH))
     inclusions = Counter()
     for subset, c in counts.items():
         for b in subset:
             inclusions[b] += c
     return fam, counts, inclusions
+
+
+def _subset_probability(fam, identifiers):
+    """Exact P(Y) = det(host[Y])^2 / det(Gram) for the subset Y of the named items."""
+    d = int_det([fam.dense_row(fam.item_index(ident)) for ident in identifiers])
+    return Fraction(d * d, fam.gram_det())
 
 
 def test_unknown_precision_is_rejected():
@@ -79,9 +83,9 @@ def test_enumeration_guards():
 
 def test_marginal_leverage_values():
     # closed-form kernel diagonal, pinned by the enumeration marginal below
-    assert marginal_leverage((1, 1, 1), 2, 3) == Fraction(1, 2)
     fam = BasisSumRows(2, 3)
-    total = sum(marginal_leverage(b, 2, 3) for b in fam.items())
+    assert fam.leverage_exact(fam.item_index((1, 1, 1))) == Fraction(1, 2)
+    total = sum(fam.leverage_exact(fam.item_index(b)) for b in fam.items())
     assert total == 2
 
 
@@ -133,7 +137,7 @@ def test_empirical_marginals_within_noise(b33_draws):
 def test_emitted_subsets_have_positive_exact_probability(b33_draws):
     fam, counts, _ = b33_draws
     for subset in list(counts)[:50]:
-        assert exact_subset_probability(fam, subset) > 0
+        assert _subset_probability(fam, subset) > 0
 
 
 def test_determinism_same_seed_same_sequence():
@@ -260,7 +264,7 @@ def test_slot_conditionals_multiply_to_residual(n, k, seed, picks):
     rng = np.random.default_rng(seed)
     t = int(picks * n)
     for _ in range(t):
-        res.draw(rng)
+        res.pick(rng.random(k).tolist())
     for b in itertools.product(range(n), repeat=k):
         slots = iter(b)
         prob = [1.0]
@@ -354,7 +358,7 @@ def test_basis_sampler_mass_stays_on_its_invariant(n, k):
             lag = max(lag, np.abs(np.array(res.q1) - res.q.sum(axis=1)).max())
             worst = max(worst, lag)
             if t < n:
-                res.draw(rng)  # raises DegenerateHostError instead of restarting
+                res.pick(rng.random(k).tolist())  # raises DegenerateHostError instead of restarting
     assert worst < 1e-9
 
 
@@ -364,9 +368,9 @@ def test_basis_sampler_rejects_a_spent_tuple():
         res = BasisResidual(BasisSumRows(n, 3))
         rng = np.random.default_rng(0)
         for _ in range(n):
-            res.draw(rng)
+            res.pick(rng.random(3).tolist())
         with pytest.raises(DegenerateHostError):
-            res.draw(rng)
+            res.pick(rng.random(3).tolist())
 
 
 @pytest.mark.parametrize("n,k,draws", [(2, 4, 50_000), (3, 4, 50_000)])
@@ -398,9 +402,9 @@ def _full_rank_rows(seed, rows, cols):
 
 
 def _batch_and_calls(fam, seed, size, precision="float64"):
-    """size= draws and as many single calls, each from its own Generator at seed."""
+    """One call on one Generator repeated size times, and size single calls on its twin."""
     rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-    batch = sample_volume(fam, rng_a, precision, size=size)
+    batch = sample_volume(fam, [rng_a] * size, precision)
     calls = [sample_volume(fam, rng_b, precision) for _ in range(size)]
     return batch, calls, rng_a, rng_b
 
@@ -463,20 +467,16 @@ def test_size_loops_on_other_hosts_and_precisions(host, precision):
 
 
 def test_size_is_checked_and_guarded():
-    fam = BasisSumRows(3, 3)
-    for bad in (0, -1, 2.0, "3", True, False, [2]):
-        with pytest.raises(InvalidInputError):
-            sample_volume(fam, 0, size=bad)
+    rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):
-        sample_volume(fam, 0, "float32", size=2)
-    assert len(sample_volume(fam, 0, size=np.int64(2))) == 2
-    # size x n^2 entries of Q': 12,000 x 900 = 1.08e7 at (30, 3)
+        sample_volume(BasisSumRows(3, 3), [rng] * 2, "float32")
+    # draws x n^2 entries of Q': 12,000 x 900 = 1.08e7 at (30, 3)
     start = time.perf_counter()
     with pytest.raises(SizeLimitError):
-        sample_volume(cached_family(BasisSumRows, 30, 3), 0, size=12_000)
-    # size x n k uniforms: 10 x 2e6 = 2e7 at (10, 200000), though one draw (2e6) is admitted
+        sample_volume(cached_family(BasisSumRows, 30, 3), [rng] * 12_000)
+    # draws x n k uniforms: 10 x 2e6 = 2e7 at (10, 200000), though one draw (2e6) is admitted
     with pytest.raises(SizeLimitError):
-        sample_volume(BasisSumRows(10, 200_000), 0, size=10)
+        sample_volume(BasisSumRows(10, 200_000), [rng] * 10)
     assert time.perf_counter() - start < 0.5  # refused before anything is allocated
 
 
@@ -500,7 +500,7 @@ def test_batched_draw_raises_where_a_call_would(scale):
     with pytest.raises(DegenerateHostError):
         sample_volume(fam, 0)
     with pytest.raises(DegenerateHostError):
-        sample_volume(fam, 0, size=BATCH_WALK_MIN)
+        sample_volume(fam, [np.random.default_rng(0)] * BATCH_WALK_MIN)
 
 
 @settings(max_examples=60, deadline=None)
@@ -520,7 +520,7 @@ def test_generator_list_draws_equal_one_call_per_generator(n, k, seeds):
 def test_a_repeated_generator_equals_size(size):
     fam = cached_family(BasisSumRows, 4, 3)
     rng_a, rng_b = np.random.default_rng(8), np.random.default_rng(8)
-    assert sample_volume(fam, [rng_a] * size) == sample_volume(fam, rng_b, size=size)
+    assert sample_volume(fam, [rng_a] * size) == [sample_volume(fam, rng_b) for _ in range(size)]
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
 
@@ -530,16 +530,14 @@ def test_generator_list_is_checked():
     for bad in ([], (), [np.random.default_rng(1), 2], [None, np.random.default_rng(1)]):
         with pytest.raises(InvalidInputError):
             sample_volume(fam, bad)
-    with pytest.raises(InvalidInputError):
-        sample_volume(fam, [np.random.default_rng(1)] * 2, size=2)
 
 
 def test_few_draws_loop_the_per_call_walk(monkeypatch):
     # below BATCH_WALK_MIN draws the per-call walk is the faster one
     fam = BasisSumRows(3, 3)
-    want = sample_volume(fam, 5, size=BATCH_WALK_MIN - 1)
+    want = sample_volume(fam, [np.random.default_rng(5)] * (BATCH_WALK_MIN - 1))
     monkeypatch.setattr(sampling, "BasisResidualBatch", None)
-    assert sample_volume(fam, 5, size=BATCH_WALK_MIN - 1) == want
+    assert sample_volume(fam, [np.random.default_rng(5)] * (BATCH_WALK_MIN - 1)) == want
 
 
 @pytest.mark.parametrize(
@@ -564,9 +562,9 @@ def test_generic_sampler_mass_stays_on_its_invariant(host, draws):
             for mass in (res.r.sum(), (gram * res.q).sum()):
                 worst = max(worst, abs(mass - (m - t)))
             if t < m:
-                res.draw(rng)  # raises DegenerateHostError instead of restarting
+                res.pick(rng.random())  # raises DegenerateHostError instead of restarting
         with pytest.raises(DegenerateHostError):
-            res.draw(rng)  # every row is spent
+            res.pick(rng.random())  # every row is spent
     assert worst < 1e-9
 
 
@@ -602,7 +600,7 @@ def test_float_downdate_tracks_exact_residuals(rows, seed):
             )
             assert res.r[i] == pytest.approx(float(exact), abs=1e-9)
         if t < m:
-            picked.append(res.draw(rng))
+            picked.append(res.pick(rng.random()))
 
 
 @pytest.mark.parametrize("n,r", [(5, 1), (6, 2), (7, 3)])
@@ -632,17 +630,17 @@ def test_item_index_rejects_unknown_identifiers():
             host.item_index(bad)
     # row -1 used to alias row 2 and report P = 1/3
     with pytest.raises(InvalidInputError):
-        exact_subset_probability(host, (-1, 0))
-    assert exact_subset_probability(host, (2, 0)) == Fraction(1, 3)
+        _subset_probability(host, (-1, 0))
+    assert _subset_probability(host, (2, 0)) == Fraction(1, 3)
     boundary = BoundaryRows(5, 2)
     for bad in ((1, 2, 6), (1, 2), (3, 2, 1), 7):
         with pytest.raises(InvalidInputError):
             boundary.item_index(bad)
     with pytest.raises(InvalidInputError):
-        exact_subset_probability(boundary, ((1, 2, 3), (1, 2, 4), (1, 2, 9)))
+        _subset_probability(boundary, ((1, 2, 3), (1, 2, 4), (1, 2, 9)))
     # tuple entry 1.5 used to alias (2, 1, 1) and report its marginal 1/6
     with pytest.raises(InvalidInputError):
-        marginal_leverage((1.5, 1, 1), 2, 3)
+        BasisSumRows(2, 3).item_index((1.5, 1, 1))
     assert BasisSumRows(2, 3).item_index((np.int64(2), 1, 1)) == 4
 
 
@@ -673,6 +671,11 @@ def test_sample_matrix_shape_and_row_sums():
     assert len(mat) == 6 and all(len(r) == 6 for r in mat)
     assert all(sum(r) == 3 for r in mat)
     assert sample_matrix(1, 5, rng=0) == [[5]]
+    # the dense rows of the tuples sample_volume draws from the same seed
+    for n in (6, 30):
+        fam = cached_family(BasisSumRows, n, 3)
+        subset = sample_volume(fam, 4)
+        assert sample_matrix(n, 3, rng=4) == [fam.dense_row(fam.item_index(b)) for b in subset]
 
 
 def test_hypertree_n4():
@@ -719,11 +722,11 @@ def test_hypertree_probability_is_squared_torsion_order():
         cok = cokernel(mat)
         assert cok.free_rank == 0
         order = cok.order()
-        assert exact_subset_probability(fam, faces) == Fraction(order**2, 6**6)
+        assert _subset_probability(fam, faces) == Fraction(order**2, 6**6)
 
 
 def test_exact_subset_probability_roundtrip():
     fam = BasisSumRows(2, 3)
-    assert exact_subset_probability(fam, ((1, 1, 1), (2, 2, 2))) == Fraction(3, 16)
-    with pytest.raises(InvalidInputError):
-        exact_subset_probability(fam, ((1, 1, 1),))
+    assert _subset_probability(fam, ((1, 1, 1), (2, 2, 2))) == Fraction(3, 16)
+    with pytest.raises(InvalidInputError):  # one row of two columns: no square submatrix
+        _subset_probability(fam, ((1, 1, 1),))

@@ -12,7 +12,6 @@ from rowsparse.structured import (
     gram_determinant,
     gram_rowwise,
     hypertree_identity,
-    row_submatrix,
     row_vector,
 )
 
@@ -35,6 +34,7 @@ def test_row_vector_counts():
     assert row_vector((1, 1, 2), 3) == [2, 1, 0]
     assert row_vector((2, 2, 2), 2) == [0, 3]
     assert row_vector((1, 2, 3, 4, 1), 4) == [2, 1, 1, 1]
+    assert [row_vector(b, 2) for b in ((1, 2, 2), (1, 1, 2))] == [[1, 2], [2, 1]]
 
 
 def test_row_vector_rejects_bad_entries():
@@ -50,6 +50,7 @@ def test_row_vector_sums_to_weight():
     for b in [(1, 1, 1), (1, 2, 3), (3, 3, 1, 2, 2)]:
         n = max(b)
         assert sum(row_vector(b, n)) == len(b)
+    assert all(sum(row_vector(b, 3)) == 3 for b in ((1, 2, 3), (1, 1, 2), (3, 3, 3)))
 
 
 def test_gram_closed_form_small_values():
@@ -79,25 +80,6 @@ def test_gram_determinant_values():
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_gram_determinant_closed_form_grid(n, k):
     assert int_det(gram_closed_form(n, k)) == gram_determinant(n, k)
-
-
-def test_row_submatrix_examples():
-    assert row_submatrix([(1, 1, 1), (2, 2, 2)], 2) == [[3, 0], [0, 3]]
-    assert row_submatrix([(1, 2, 2), (1, 1, 2)], 2) == [[2, 1], [1, 2]]
-
-
-def test_row_submatrix_rejects_bad_input():
-    with pytest.raises(InvalidInputError):
-        row_submatrix([(1, 1, 1)], 2)
-    with pytest.raises(InvalidInputError):
-        row_submatrix([(1, 1, 1), (1, 1, 1)], 2)
-    with pytest.raises(InvalidInputError):
-        row_submatrix([(1, 1, 1), (2, 2)], 2, k=3)
-
-
-def test_row_submatrix_constant_row_sums():
-    mat = row_submatrix([(1, 2, 3), (1, 1, 2), (3, 3, 3)], 3)
-    assert all(sum(row) == 3 for row in mat)
 
 
 def test_boundary_matrix_signs_n3():
