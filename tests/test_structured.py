@@ -34,7 +34,6 @@ def test_row_vector_counts():
     assert row_vector((1, 1, 2), 3) == [2, 1, 0]
     assert row_vector((2, 2, 2), 2) == [0, 3]
     assert row_vector((1, 2, 3, 4, 1), 4) == [2, 1, 1, 1]
-    assert [row_vector(b, 2) for b in ((1, 2, 2), (1, 1, 2))] == [[1, 2], [2, 1]]
 
 
 def test_row_vector_rejects_bad_entries():
@@ -50,7 +49,21 @@ def test_row_vector_sums_to_weight():
     for b in [(1, 1, 1), (1, 2, 3), (3, 3, 1, 2, 2)]:
         n = max(b)
         assert sum(row_vector(b, n)) == len(b)
-    assert all(sum(row_vector(b, 3)) == 3 for b in ((1, 2, 3), (1, 1, 2), (3, 3, 3)))
+
+
+def _tuple_rows(rows, n):
+    # square matrix of distinct tuples in lex order, as sample_matrix builds it
+    return [row_vector(b, n) for b in sorted(rows)]
+
+
+def test_row_submatrix_examples():
+    assert _tuple_rows([(1, 1, 1), (2, 2, 2)], 2) == [[3, 0], [0, 3]]
+    assert _tuple_rows([(1, 2, 2), (1, 1, 2)], 2) == [[2, 1], [1, 2]]
+
+
+def test_row_submatrix_constant_row_sums():
+    mat = _tuple_rows([(1, 2, 3), (1, 1, 2), (3, 3, 3)], 3)
+    assert all(sum(row) == 3 for row in mat)
 
 
 def test_gram_closed_form_small_values():
