@@ -26,7 +26,7 @@ from .groups import (
     p_groups_up_to,
 )
 from .moments import surjection_moment_exact
-from .sampling import sample_hypertree, sample_matrix
+from .sampling import PRECISIONS, sample_hypertree, sample_matrix
 from .snf import cokernel, sylow
 
 
@@ -52,7 +52,7 @@ def _parse_primes(text):
 def _add_common(sub):
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--precision", choices=["float64", "exact"], default="float64")
+    sub.add_argument("--precision", choices=PRECISIONS, default="float64")
 
 
 def cmd_sample(args):

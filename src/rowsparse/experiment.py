@@ -32,7 +32,7 @@ from .groups import (
     p_groups_up_to,
     sur_count_cokernel,
 )
-from .sampling import BasisSumRows, BoundaryRows, cached_family, sample_volume
+from .sampling import PRECISIONS, BasisSumRows, BoundaryRows, cached_family, sample_volume
 # rank_mod_p is not called here; perfbench's traced campaigns patch it under this name
 from .snf import cokernel, rank_mod_p, sylow
 
@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
+        if self.precision not in PRECISIONS:
+            raise InvalidInputError(f"unknown precision {self.precision!r}")
         for p in self.primes:
             if not is_prime(p):
                 raise InvalidInputError(f"{p} is not prime")

@@ -1,17 +1,22 @@
 """Finite abelian groups: automorphisms, Hom/Sur counting, Cohen-Lenstra weights.
 
 Groups are carried as invariant-factor chains d_1 | d_2 | ... (all >= 2).
-Element-level work (subgroup lattices, Moebius inversion) enumerates tuples,
-which is fine because every group this package touches is tiny.
+Element-level work (subgroup lattices, automorphisms, Moebius inversion)
+reads index tables of addition, negation and element order, built once per
+group, which is fine because every group this package touches is tiny.
 """
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 from .errors import InvalidInputError, SizeLimitError
 
-SUBGROUP_ORDER_LIMIT = 10**4
+# the add table holds |G|^2 indices: about 8 MB at this order
+TABLE_ORDER_LIMIT = 10**3
+# the exact sweep applies every automorphism to every composition of n (type_orbits), so
+# |Aut| is the per-composition cost this caps; above it the identity alone acts
 AUTOMORPHISM_LIMIT = 10**4
 # factors kept of the Cohen-Lenstra product prod (1 - p^-i); the rest change it by < 2 p^-64
 CL_TRUNCATION = 64
@@ -37,7 +42,7 @@ def is_prime(p):
 class FiniteAbelianGroup:
     """An abstract finite abelian group given by its invariant-factor chain."""
 
-    __slots__ = ("divisors", "_elements", "_index", "_subgroups")
+    __slots__ = ("divisors", "_elements", "_tables", "_subgroups")
 
     def __init__(self, divisors=()):
         divisors = tuple(int(d) for d in divisors)
@@ -49,7 +54,7 @@ class FiniteAbelianGroup:
                 raise InvalidInputError(f"not a divisor chain: {divisors}")
         self.divisors = divisors
         self._elements = None
-        self._index = None
+        self._tables = None
         self._subgroups = None
 
     @classmethod
@@ -57,21 +62,7 @@ class FiniteAbelianGroup:
         """p-group with summands Z/p^lam for lam in the partition."""
         if not is_prime(p):
             raise InvalidInputError(f"{p} is not prime")
-        return cls._assemble({p: list(partition)}) if partition else cls()
-
-    @classmethod
-    def _assemble(cls, partitions):
-        for p, ex in partitions.items():
-            ex.sort(reverse=True)
-        depth = max((len(ex) for ex in partitions.values()), default=0)
-        chain = []
-        for i in range(depth):
-            d = 1
-            for p, ex in partitions.items():
-                if i < len(ex):
-                    d *= p ** ex[i]
-            chain.append(d)
-        return cls(tuple(reversed(chain)))
+        return cls(sorted(p**lam for lam in partition))
 
     # -- basic structure -------------------------------------------------
 
@@ -105,47 +96,42 @@ class FiniteAbelianGroup:
                 out.setdefault(p, []).append(e)
         return {p: tuple(sorted(ex, reverse=True)) for p, ex in out.items()}
 
-    # -- element arithmetic ----------------------------------------------
+    # -- element tables ---------------------------------------------------
 
     @property
     def elements(self):
+        """Element tuples in product order; element index i names elements[i], 0 the identity."""
         if self._elements is None:
-            if self.divisors:
-                self._elements = tuple(
-                    itertools.product(*[range(d) for d in self.divisors])
-                )
-            else:
-                self._elements = ((),)
-            self._index = {e: i for i, e in enumerate(self._elements)}
+            self._elements = tuple(itertools.product(*[range(d) for d in self.divisors]))
         return self._elements
 
-    def index(self, e):
-        self.elements
-        return self._index[tuple(e)]
-
-    @property
-    def zero(self):
-        return (0,) * len(self.divisors)
-
-    def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.divisors))
-
-    def neg(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.divisors))
-
-    def scale(self, m, a):
-        return tuple((m * x) % d for x, d in zip(a, self.divisors))
+    def tables(self):
+        """(add, neg, orders): index tables of addition, negation and element order,
+        built on first use and kept on the instance."""
+        if self._tables is None:
+            if self.order > TABLE_ORDER_LIMIT:
+                raise SizeLimitError(f"group order {self.order} exceeds {TABLE_ORDER_LIMIT}")
+            els, divs = self.elements, self.divisors
+            index = {e: i for i, e in enumerate(els)}
+            add = tuple(
+                tuple(index[tuple((x + y) % d for x, y, d in zip(a, b, divs))] for b in els)
+                for a in els
+            )
+            neg = tuple(row.index(0) for row in add)
+            orders = tuple(math.lcm(*(d // math.gcd(x, d) for x, d in zip(e, divs))) for e in els)
+            self._tables = add, neg, orders
+        return self._tables
 
     def generated(self, gens):
-        """Subgroup generated by the given elements, as a frozenset."""
-        cur = {self.zero}
-        frontier = [self.zero]
-        gens = [tuple(g) for g in gens]
+        """Subgroup generated by the given element indices, as a frozenset of indices."""
+        add = self.tables()[0]
+        cur = {0}
+        frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
                 for g in gens:
-                    y = self.add(x, g)
+                    y = add[x][g]
                     if y not in cur:
                         cur.add(y)
                         nxt.append(y)
@@ -153,18 +139,16 @@ class FiniteAbelianGroup:
         return frozenset(cur)
 
     def subgroups(self):
-        """All subgroups as frozensets of elements (closure BFS over generators)."""
-        if self.order > SUBGROUP_ORDER_LIMIT:
-            raise SizeLimitError(f"group order {self.order} exceeds {SUBGROUP_ORDER_LIMIT}")
+        """All subgroups as frozensets of element indices (closure BFS over generators)."""
         if self._subgroups is not None:
             return self._subgroups
-        trivial = frozenset({self.zero})
+        trivial = frozenset({0})
         found = {trivial}
         frontier = [trivial]
         while frontier:
             nxt = []
             for H in frontier:
-                for g in self.elements:
+                for g in range(self.order):
                     if g in H:
                         continue
                     K = self.generated(list(H) + [g])
@@ -174,32 +158,6 @@ class FiniteAbelianGroup:
             frontier = nxt
         self._subgroups = sorted(found, key=lambda H: (len(H), sorted(H)))
         return self._subgroups
-
-    def subgroup_group(self, elements):
-        """Abstract type of a subgroup given by its element set."""
-        h = len(elements)
-        partitions = {}
-        for p in _prime_factors(h):
-            # |H[p^j]| = p^(sum_i min(lambda_i, j)) pins the partition lambda.
-            lam = []
-            prev = 0
-            j = 1
-            while True:
-                cnt = sum(1 for e in elements if self.scale(p**j, e) == self.zero)
-                expo = _prime_factors(cnt).get(p, 0)
-                growth = expo - prev
-                if growth == 0:
-                    break
-                lam.append(growth)
-                prev = expo
-                j += 1
-            # lam[j-1] = #parts >= j; convert counts to the partition itself
-            parts = []
-            for j, cnt in enumerate(lam, start=1):
-                parts += [j] * (cnt - (lam[j] if j < len(lam) else 0))
-            if parts:
-                partitions[p] = sorted(parts, reverse=True)
-        return FiniteAbelianGroup._assemble(partitions)
 
 
 def _aut_order_p_group(p, partition):
@@ -238,53 +196,58 @@ def automorphisms(G):
     """
     if aut_order(G) > AUTOMORPHISM_LIMIT:
         raise SizeLimitError(f"|Aut({G.label()})| exceeds {AUTOMORPHISM_LIMIT}")
-    els = G.elements
+    add, _, orders = G.tables()
 
     def extend(j, images):  # images of the span of generators < j, in element order
         if j == G.rank:
-            yield tuple(G.index(y) for y in images)
+            yield tuple(images)
             return
         d = G.divisors[j]
-        for h in els:
-            if G.scale(d, h) != G.zero:
+        for h in range(G.order):
+            if d % orders[h]:  # d h != 0
                 continue
-            new = [G.add(y, G.scale(c, h)) for y in images for c in range(d)]
+            multiples = [0]  # c h for c = 0 .. d-1
+            while len(multiples) < d:
+                multiples.append(add[h][multiples[-1]])
+            new = [add[y][m] for y in images for m in multiples]
             if len(set(new)) == len(new):
                 yield from extend(j + 1, new)
 
-    return tuple(extend(0, [G.zero]))
+    return tuple(extend(0, [0]))
 
 
-def hom_count_cokernel(divisors, free_rank, B):
-    """#Hom(Z^f + sum Z/d_i, B) for a finitely generated source."""
-    total = B.order**free_rank
-    for a in divisors:
-        for b in B.divisors:
-            total *= math.gcd(a, b)
+def _hom_count(divisors, free_rank, size, hist):
+    """#Hom(Z^f + sum Z/d_i, H) = |H|^f prod_i #{h in H : ord(h) | d_i}, from |H| and the
+    histogram ((order, count), ...) of H's element orders."""
+    total = size**free_rank
+    for d in divisors:
+        total *= sum(c for o, c in hist if d % o == 0)
     return total
 
 
 @lru_cache(maxsize=256)
 def _moebius_table(G):
-    """Moebius function mu(H, G) on the subgroup lattice, keyed by element set."""
+    """(mu(H, G), |H|, order histogram of H) for each subgroup H of G with mu(H, G) != 0."""
     subs = G.subgroups()
+    orders = G.tables()[2]
     mu = {}
     for H in sorted(subs, key=len, reverse=True):
         if len(H) == G.order:
             mu[H] = 1
         else:
             mu[H] = -sum(mu[K] for K in subs if len(K) > len(H) and H < K)
-    return mu
+    return tuple(
+        (m, len(H), tuple(sorted(Counter(orders[h] for h in H).items())))
+        for H, m in mu.items() if m
+    )
 
 
 def sur_count_cokernel(divisors, free_rank, G):
-    """Surjections from Z^f + sum Z/d_i onto G (Moebius over subgroups of G)."""
-    mu = _moebius_table(G)
-    total = 0
-    for H, m in mu.items():
-        if m:
-            total += m * hom_count_cokernel(tuple(divisors), free_rank, G.subgroup_group(H))
-    return total
+    """Surjections from Z^f + sum Z/d_i onto G: the Moebius sum over subgroups H of
+    G of #Hom(Z^f + sum Z/d_i, H)."""
+    return sum(
+        m * _hom_count(divisors, free_rank, size, hist) for m, size, hist in _moebius_table(G)
+    )
 
 
 def cl_probability(G, p):

@@ -65,18 +65,10 @@ class TypeVector:
         return self.k * self.n ** ((self.k - 1) * self.n)
 
 
-@lru_cache(maxsize=64)
-def _tables(G):
-    """(add, neg): index tables of G's addition and negation, built once per group."""
-    els = G.elements
-    add = tuple(tuple(G.index(G.add(a, b)) for b in els) for a in els)
-    return add, tuple(G.index(G.neg(e)) for e in els)
-
-
 def _conv_arrays(tv, upto):
     """n(ell)_a for ell = 1..upto, as lists indexed like G.elements."""
     g = tv.group.order
-    add, neg = _tables(tv.group)
+    add, neg, _ = tv.group.tables()
     counts = tv.counts
     tables = [None, [counts[neg[a]] for a in range(g)]]
     for _ in range(2, upto + 1):
@@ -90,7 +82,7 @@ def _conv_arrays(tv, upto):
 def _scaled_factor(tv, sup, conv):
     """Rows of the integer matrix D C over the support sup."""
     k, counts = tv.k, tv.counts
-    add = _tables(tv.group)[0]
+    add = tv.group.tables()[0]
     nk2, nk1 = conv[k - 2], conv[k - 1]
     return [
         [(k - 1) * counts[a] * nk2[add[a][b]] + (nk1[a] if a == b else 0) for b in sup]
@@ -131,9 +123,7 @@ def expected_annihilated_exact(tv):
 
 
 def _generates(G, support_indices):
-    els = G.elements
-    gens = [els[i] for i in support_indices]
-    return len(G.generated(gens)) == G.order
+    return len(G.generated(support_indices)) == G.order
 
 
 def type_orbits(G, n):
@@ -223,7 +213,7 @@ def kl_curvature_check(G, k):
     d = g - 1
     if d == 0:
         return 0.0, 0.0
-    add, neg = (np.array(t) for t in _tables(G))
+    add, neg = (np.array(t) for t in G.tables()[:2])
     x0, e = np.full(d, 1.0 / g), np.eye(d)
     f = partial(_kl_at_float, G=G, k=k, add=add, neg=neg)
     h = 1e-4

@@ -55,6 +55,8 @@ from .structured import (
     validate_row_tuple,
 )
 
+# the precisions sample_volume draws at: the float walk, or exact rational arithmetic
+PRECISIONS = ("float64", "exact")
 EXACT_ITEM_LIMIT = 10**5
 # caps the float paths' arrays: the generic path's padded sparse rows
 # (items x row width) and dense Gram (columns^2), and the basis-sum path's
@@ -692,7 +694,7 @@ def sample_volume(family, rng=None, precision="float64"):
     rngs = _generator_list(rng)
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
-    if precision not in ("float64", "exact"):
+    if precision not in PRECISIONS:
         raise InvalidInputError(f"unknown precision {precision!r}")
     if rngs is None:
         rng = _as_rng(rng)

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import rowsparse
-from rowsparse import experiment
-from rowsparse.cli import main
+from rowsparse import experiment, sampling
+from rowsparse.cli import build_parser, main
 from rowsparse.errors import InvalidInputError
 from rowsparse.experiment import (
     FULL_ONLY,
@@ -48,6 +48,18 @@ def test_config_validation():
     for weight in ({"k": 5}, {"k_schedule": "pow:0.5"}):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(n=6, trials=3, seed=0, model="hypertree", **weight)
+
+
+def test_config_rejects_an_unknown_precision():
+    # at construction, not at the campaign's first chunk draw
+    with pytest.raises(InvalidInputError, match="precision"):
+        ExperimentConfig(n=6, k=3, trials=2, seed=0, precision="float32")
+    for precision in sampling.PRECISIONS:
+        ExperimentConfig(n=6, k=3, trials=2, seed=0, precision=precision)
+    # the CLI offers the same precisions the sampler and the config accept
+    sub = build_parser()._subparsers._group_actions[0].choices["campaign"]
+    (action,) = [a for a in sub._actions if a.dest == "precision"]
+    assert tuple(action.choices) == sampling.PRECISIONS
 
 
 def test_k_schedule_resolution():

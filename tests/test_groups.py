@@ -1,63 +1,59 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from rowsparse.errors import InvalidInputError, SizeLimitError
 from rowsparse.groups import (
     AUTOMORPHISM_LIMIT,
+    TABLE_ORDER_LIMIT,
     FiniteAbelianGroup,
+    _hom_count,
     aut_order,
     automorphisms,
     cl_corank_probability,
     cl_probability,
-    hom_count_cokernel,
     p_groups_up_to,
     sur_count_cokernel,
 )
-from rowsparse.moments import type_orbits
+from rowsparse.moments import surjection_moment_exact, type_orbits
 
 
-def all_homs(A, B):
-    """Brute force: every map on generators with compatible orders."""
-    gens = [tuple(1 if j == i else 0 for j in range(A.rank)) for i in range(A.rank)]
-    candidates = []
-    for d in A.divisors:
-        candidates.append([h for h in B.elements if B.scale(d, h) == B.zero])
-    homs = []
-    for images in itertools.product(*candidates):
-        homs.append(images)
-    return homs
+# tuple arithmetic of the brute-force references, kept apart from the index tables they check
+def t_add(B, a, b):
+    return tuple((x + y) % d for x, y, d in zip(a, b, B.divisors))
 
 
-def hom_image(A, B, images, a):
-    out = B.zero
-    for coeff, img in zip(a, images):
-        out = B.add(out, B.scale(coeff, img))
-    return out
+def t_scale(B, m, a):
+    return tuple((m * x) % d for x, d in zip(a, B.divisors))
+
+
+def t_zero(B):
+    return (0,) * B.rank
+
+
+def t_span(B, gens):
+    span = frontier = {t_zero(B)}
+    while frontier:
+        frontier = {t_add(B, x, g) for x in frontier for g in gens} - span
+        span = span | frontier
+    return span
+
+
+def all_homs(da, free_rank, B):
+    """Brute force: every choice of generator images, Z/d_i's killed by d_i, Z's anywhere in B."""
+    torsion = [[h for h in B.elements if t_scale(B, d, h) == t_zero(B)] for d in da]
+    return itertools.product(*torsion, *[B.elements] * free_rank)
 
 
 def brute_hom_count(A, B):
-    return len(all_homs(A, B))
+    return sum(1 for _ in all_homs(A.divisors, 0, B))
 
 
-def brute_sur_count(A, B):
-    total = 0
-    for images in all_homs(A, B):
-        image = {hom_image(A, B, images, a) for a in A.elements}
-        if len(image) == B.order:
-            total += 1
-    return total
-
-
-def brute_aut_count(G):
-    total = 0
-    for images in all_homs(G, G):
-        image = {hom_image(G, G, images, a) for a in G.elements}
-        if len(image) == G.order:
-            total += 1
-    return total
+def brute_sur_count(da, free_rank, B):
+    return sum(len(t_span(B, images)) == B.order for images in all_homs(da, free_rank, B))
 
 
 def test_chain_validation():
@@ -89,7 +85,7 @@ def test_aut_order_examples():
 )
 def test_aut_order_against_bruteforce(divisors):
     G = FiniteAbelianGroup(divisors)
-    assert aut_order(G) == brute_aut_count(G)
+    assert aut_order(G) == brute_sur_count(G.divisors, 0, G)
 
 
 def test_aut_order_multiplicative_over_primes():
@@ -118,7 +114,11 @@ SMALL_GROUPS = [(d,) for d in range(1, 17)] + [
 def test_automorphisms_are_the_bijective_homomorphisms(divisors):
     G = FiniteAbelianGroup(tuple(d for d in divisors if d > 1))
     els = G.elements
-    add = [[G.index(G.add(a, b)) for b in els] for a in els]
+    index = {e: i for i, e in enumerate(els)}
+    add = tuple(tuple(index[t_add(G, a, b)] for b in els) for a in els)
+    neg = tuple(index[t_scale(G, -1, a)] for a in els)
+    orders = tuple(next(m for m in itertools.count(1) if not any(t_scale(G, m, a))) for a in els)
+    assert els[0] == t_zero(G) and G.tables() == (add, neg, orders)
     auts = automorphisms(G)
     assert len(auts) == len(set(auts)) == aut_order(G)
     assert tuple(range(G.order)) in auts
@@ -155,13 +155,20 @@ def test_automorphisms_guard():
     assert len(reps) == math.comb(17, 15) and all(size == 1 for _, size in reps)
 
 
+def hom_count(da, free_rank, B):
+    """#Hom(Z^f + sum Z/d_i, B) from B's element orders, the term sur_count_cokernel sums."""
+    orders = Counter(B.tables()[2])
+    return _hom_count(da, free_rank, B.order, tuple(sorted(orders.items())))
+
+
 def test_hom_count_examples():
     Z4, Z2 = FiniteAbelianGroup((4,)), FiniteAbelianGroup((2,))
     V4 = FiniteAbelianGroup((2, 2))
     triv = FiniteAbelianGroup(())
-    assert hom_count_cokernel(Z4.divisors, 0, Z2) == 2
-    assert hom_count_cokernel(V4.divisors, 0, Z2) == 4
-    assert hom_count_cokernel(triv.divisors, 0, Z4) == 1
+    assert hom_count(Z4.divisors, 0, Z2) == 2
+    assert hom_count(V4.divisors, 0, Z2) == 4
+    assert hom_count(triv.divisors, 0, Z4) == 1
+    assert hom_count((), 2, Z4) == 16 and hom_count((2,), 1, V4) == 16
 
 
 @pytest.mark.parametrize(
@@ -170,7 +177,7 @@ def test_hom_count_examples():
 )
 def test_hom_count_against_bruteforce(da, db):
     A, B = FiniteAbelianGroup(da), FiniteAbelianGroup(db)
-    assert hom_count_cokernel(A.divisors, 0, B) == brute_hom_count(A, B)
+    assert hom_count(A.divisors, 0, B) == brute_hom_count(A, B)
 
 
 def test_sur_count_examples():
@@ -192,11 +199,16 @@ def test_sur_count_examples():
         ((6,), (6,)),
         ((2, 6), (2, 2)),
         ((12,), (4,)),
+        ((), (2, 2)),
+        ((2,), (4,)),
+        ((4,), (2, 4)),
+        ((), ()),
     ],
 )
 def test_sur_count_against_bruteforce(da, db):
-    A, B = FiniteAbelianGroup(da), FiniteAbelianGroup(db)
-    assert sur_count_cokernel(A.divisors, 0, B) == brute_sur_count(A, B)
+    B = FiniteAbelianGroup(db)
+    for free_rank in (0, 1, 2):
+        assert sur_count_cokernel(da, free_rank, B) == brute_sur_count(da, free_rank, B)
 
 
 def test_sur_count_cokernel_free_part():
@@ -205,21 +217,32 @@ def test_sur_count_cokernel_free_part():
     assert sur_count_cokernel((), 1, Z2) == 1
     assert sur_count_cokernel((), 2, Z2) == 3
     # torsion-only matches the brute-force count
-    assert sur_count_cokernel((2, 4), 0, Z2) == brute_sur_count(FiniteAbelianGroup((2, 4)), Z2)
+    assert sur_count_cokernel((2, 4), 0, Z2) == brute_sur_count((2, 4), 0, Z2)
 
 
 def test_subgroup_lattice_z4z2():
     G = FiniteAbelianGroup((2, 4))
     subs = G.subgroups()
     assert len(subs) == 8
-    types = sorted(G.subgroup_group(H).label() for H in subs if len(H) == 4)
-    assert types == ["Z/2+Z/2", "Z/4", "Z/4"]
+    orders = G.tables()[2]
+    # Z/2+Z/2 and the two cyclic Z/4 subgroups
+    assert sorted(max(orders[h] for h in H) for H in subs if len(H) == 4) == [2, 4, 4]
 
 
 def test_subgroup_order_guard():
     big = FiniteAbelianGroup((101, 101))
     with pytest.raises(SizeLimitError):
         big.subgroups()
+
+
+def test_element_tables_guard():
+    # the add table holds |G|^2 indices; above the limit none is built, so every
+    # count that reads the tables raises before it allocates
+    G = FiniteAbelianGroup((TABLE_ORDER_LIMIT + 1,))
+    for count in (G.tables, lambda: sur_count_cokernel((2,), 0, G),
+                  lambda: surjection_moment_exact(G, 1, 3)):
+        with pytest.raises(SizeLimitError):
+            count()
 
 
 def test_cl_probability_values():

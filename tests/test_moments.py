@@ -38,12 +38,11 @@ def random_type(rng, G, n, k):
 
 
 def zero_sum_slice(G, q, n, k):
+    """Row tuples b whose entries of q sum to zero, in the test's own tuple arithmetic."""
     out = []
     for b in itertools.product(range(1, n + 1), repeat=k):
-        acc = G.zero
-        for x in b:
-            acc = G.add(acc, q[x - 1])
-        if acc == G.zero:
+        sums = [sum(q[x - 1][j] for x in b) % d for j, d in enumerate(G.divisors)]
+        if not any(sums):
             out.append(b)
     return out
 
@@ -61,7 +60,7 @@ def brute_prob(G, q, n, k):
 def type_of(G, q):
     counts = [0] * G.order
     for x in q:
-        counts[G.index(x)] += 1
+        counts[G.elements.index(x)] += 1
     return tuple(counts)
 
 
@@ -240,7 +239,7 @@ def orbit_free_moment(G, n, k):
     g = G.order
     total = Fraction(0)
     for multiset in itertools.combinations_with_replacement(range(g), n):
-        if len(G.generated([G.elements[i] for i in set(multiset)])) == g:
+        if len(G.generated(set(multiset))) == g:
             counts = tuple(multiset.count(i) for i in range(g))
             total += type_weight(TypeVector(G, counts, k))
     return total
@@ -276,7 +275,7 @@ def test_sweep_calls_the_type_weight_once_per_orbit(monkeypatch):
     G = FiniteAbelianGroup((2, 2))
     value = surjection_moment_exact(G, 6, 3)
     reps = [c for c, _ in moments.type_orbits(G, 6)
-            if len(G.generated([G.elements[i] for i, x in enumerate(c) if x])) == 4]
+            if len(G.generated([i for i, x in enumerate(c) if x])) == 4]
     assert calls == reps and len(reps) < math.comb(9, 3)
     assert value == surjection_moment_bruteforce(G, 6, 3)
 
