@@ -54,12 +54,13 @@ def test_config_rejects_an_unknown_precision():
     # at construction, not at the campaign's first chunk draw
     with pytest.raises(InvalidInputError, match="precision"):
         ExperimentConfig(n=6, k=3, trials=2, seed=0, precision="float32")
+    # the config and the CLI take the precisions the sampler accepts
+    argv = ["campaign", "--n", "6", "--trials", "2", "--precision"]
     for precision in sampling.PRECISIONS:
         ExperimentConfig(n=6, k=3, trials=2, seed=0, precision=precision)
-    # the CLI offers the same precisions the sampler and the config accept
-    sub = build_parser()._subparsers._group_actions[0].choices["campaign"]
-    (action,) = [a for a in sub._actions if a.dest == "precision"]
-    assert tuple(action.choices) == sampling.PRECISIONS
+        assert build_parser().parse_args(argv + [precision]).precision == precision
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv + ["float32"])
 
 
 def test_k_schedule_resolution():
