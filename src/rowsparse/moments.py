@@ -29,7 +29,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
-from .groups import FiniteAbelianGroup, automorphisms
+from .groups import AUTOMORPHISM_LIMIT, FiniteAbelianGroup, aut_order, automorphisms
 from .intlinalg import int_det
 
 TYPE_VECTOR_LIMIT = 10**7
@@ -130,11 +130,8 @@ def type_orbits(G, n):
     """(type, orbit size) for the lexicographically largest type of each Aut(G)-orbit
     of compositions of n; the orbit has |Aut| / |Stab| members. Above
     AUTOMORPHISM_LIMIT the identity alone acts."""
-    try:
-        auts = automorphisms(G)
-    except SizeLimitError:
-        auts = (tuple(range(G.order)),)
     g = G.order
+    auts = automorphisms(G) if aut_order(G) <= AUTOMORPHISM_LIMIT else (tuple(range(g)),)
     # one getter per automorphism; order 1 gets tuple, as itemgetter(0) yields a scalar
     getters = [operator.itemgetter(*p) for p in auts] if g > 1 else [tuple]
     for bars in itertools.combinations(range(n + g - 1), g - 1):  # stars and bars
