@@ -60,12 +60,16 @@ class ExperimentConfig:
             raise InvalidInputError(f"unknown model {self.model!r}")
         if self.trials < 1:
             raise InvalidInputError("need at least one trial")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         if self.precision not in PRECISIONS:
             raise InvalidInputError(f"unknown precision {self.precision!r}")
         for p in self.primes:
             if not is_prime(p):
                 raise InvalidInputError(f"{p} is not prime")
         if self.model == "bn_matrix":
+            if self.n < 1:
+                raise InvalidInputError("need n >= 1")
             if (self.k is None) == (self.k_schedule is None):
                 raise InvalidInputError("give exactly one of k or k_schedule")
             if self.k is not None and self.k < 3:

@@ -96,7 +96,10 @@ def _direction(qx, xqx, leverage):
 
 def _as_rng(rng):
     """A Generator: rng itself, seeded from an int, or seeded from 0 when None."""
-    return np.random.default_rng(0 if rng is None else rng)
+    try:
+        return np.random.default_rng(0 if rng is None else rng)
+    except ValueError:
+        raise InvalidInputError(f"a seed must be a non-negative integer, got {rng!r}") from None
 
 
 class RowFamily:

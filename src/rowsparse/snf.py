@@ -2,17 +2,15 @@
 
 `cokernel` runs one elimination in two phases over Python ints:
 
-- Sparse phase. Rows are dicts {column: entry}. While some entry is +-1, the
-  one with the least Markowitz cost (row nnz - 1)(column nnz - 1) is the
-  pivot, and its integer Schur complement replaces the matrix. A +-1 alone
-  in its row or column costs 0; such pivots come off a worklist of the rows
-  and columns that start as or become singletons, at no search cost, and
-  only when the worklist runs dry does a scan of the live entries pick the
-  next pivot. The scan visits rows shortest first: with no singleton unit
-  left, an entry costs at least its row's nnz - 1, so the scan stops at the
-  first row whose nnz - 1 reaches the best cost found. A pivot also costs
-  the fill it makes (none at cost 0); the sampled matrices are row-sparse,
-  so this phase removes nearly every row.
+- Sparse phase. Rows are dicts {column: entry}. While some entry is +-1,
+  one is the pivot, and its integer Schur complement replaces the matrix. A
+  +-1 alone in its row or column makes no fill; such pivots come off a
+  worklist of the rows and columns that start as or become singletons, at
+  no search cost. Only when the worklist runs dry does one pass over the
+  live rows pick the next pivot: the +-1 of the shortest row that holds
+  one, in the shortest of its columns. The elementary divisors do not
+  depend on the pivot order; the sampled matrices are row-sparse, so this
+  phase removes nearly every row.
 - Core phase. The rows and columns that still hold a nonzero entry form a
   dense core with no unit entry. `_diagonalize` reduces it by
   minimum-absolute-value pivoting with full row and column reduction. A
@@ -56,14 +54,6 @@ class CokernelClass:
         """Dimension over F_p of the cokernel mod p: the free rank plus the divisors p divides."""
         return self.free_rank + sum(1 for d in self.divisors if d % p == 0)
 
-    def order(self):
-        if not self.is_finite:
-            return None
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
-
 
 @dataclass(frozen=True)
 class PGroupType:
@@ -76,9 +66,6 @@ class PGroupType:
     prime: int
     partition: tuple
     infinite: bool = False
-
-    def order(self):
-        return None if self.infinite else self.prime ** sum(self.partition)
 
 
 def _diagonalize(mat, modulus=0):
@@ -208,29 +195,22 @@ def _sparse_rows(mat, ncols=None):
 
 
 def _unit_pivot(live, cols):
-    """The +-1 entry of least Markowitz cost as (row, column), or None.
+    """The +-1 of the shortest live row holding one, as (row, column), or None.
 
-    Live rows are visited shortest first. Every +-1 alone in its row or
-    column is already on the worklist, so a scanned entry costs at least its
-    row's nnz - 1, and the scan stops once that reaches the best cost found.
+    Within that row the +-1 of the shortest column is taken. Ties go to the
+    first such row, then to the first such entry in it.
     """
-    best, best_cost = None, None
-    for i, row in sorted(live.items(), key=lambda item: len(item[1])):
-        row_cost = len(row) - 1
-        if best is not None and row_cost >= best_cost:
-            break
-        for j, v in row.items():
-            if v == 1 or v == -1:
-                cost = row_cost * (len(cols[j]) - 1)
-                if not cost:
-                    return i, j
-                if best is None or cost < best_cost:
-                    best, best_cost = (i, j), cost
+    best, shortest = None, math.inf
+    for i, row in live.items():
+        if len(row) < shortest:
+            units = [j for j, v in row.items() if v == 1 or v == -1]
+            if units:
+                best, shortest = (i, min(units, key=lambda j: len(cols[j]))), len(row)
     return best
 
 
 def _free_pivot(live, cols, todo):
-    """A +-1 entry alone in its row or column (Markowitz cost 0) as (row, column), or None.
+    """A +-1 entry alone in its row or column as (row, column), or None.
 
     Pops candidate entries off the worklist and drops the ones that are gone
     or no longer a unit alone in their row or column.
@@ -244,12 +224,12 @@ def _free_pivot(live, cols, todo):
 
 
 def _eliminate_unit_pivots(live, ncols):
-    """Sparse phase: take Markowitz-ordered +-1 pivots until none is left.
+    """Sparse phase: take +-1 pivots until none is left.
 
     Pops each pivot row from `live`, leaves the Schur complement on the other
     rows in place, and returns the number of pivots. The rows and columns that
-    start as or become singletons put their entry on a worklist, so a cost-0
-    pivot needs no scan.
+    start as or become singletons put their entry on a worklist, so a pivot
+    alone in its row or column needs no scan.
     """
     cols = [set() for _ in range(ncols)]  # column -> live rows holding it
     for i, row in live.items():

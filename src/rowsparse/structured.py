@@ -97,26 +97,26 @@ def boundary_col_faces(n, r):
 def boundary_matrix(n, r):
     """Signed incidence matrix between r-subsets of [n-1] and (r+1)-subsets of [n].
 
-    Entry (S, S') is (-1)^j when S' = S union {s_j} (S' sorted ascending),
-    and 0 when S is not contained in S'.
+    Column S' holds the pairs of boundary_column_sparse(n, r, S'); every
+    other entry is 0.
     """
     if not 1 <= r <= n - 2:
         raise InvalidInputError(f"need 1 <= r <= n-2, got r={r}, n={n}")
-    rows = boundary_row_faces(n, r)
-    row_index = {S: i for i, S in enumerate(rows)}
+    row_index = {S: i for i, S in enumerate(boundary_row_faces(n, r))}
     cols = boundary_col_faces(n, r)
-    mat = [[0] * len(cols) for _ in rows]
-    for col, Sp in enumerate(cols):
-        for j in range(r + 1):
-            S = Sp[:j] + Sp[j + 1 :]
-            i = row_index.get(S)
-            if i is not None:
-                mat[i][col] = -1 if j % 2 else 1
+    mat = [[0] * len(cols) for _ in row_index]
+    for col, face in enumerate(cols):
+        for S, sign in boundary_column_sparse(n, r, face):
+            mat[row_index[S]][col] = sign
     return mat
 
 
 def boundary_column_sparse(n, r, face):
-    """Nonzero (row-face, sign) pairs of one column of boundary_matrix."""
+    """Nonzero (row-face, sign) pairs of one column of boundary_matrix.
+
+    S is face, sorted ascending, less its j-th entry, with sign (-1)^j; it
+    is kept when it is an r-subset of [n-1].
+    """
     out = []
     for j in range(r + 1):
         S = face[:j] + face[j + 1 :]

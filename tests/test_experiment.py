@@ -63,6 +63,30 @@ def test_config_rejects_an_unknown_precision():
         build_parser().parse_args(argv + ["float32"])
 
 
+@pytest.mark.parametrize("kwargs,reason", [
+    ({"n": 0, "seed": 0, "k": 3}, "n >= 1"),
+    ({"n": -1, "seed": 0, "k": 3}, "n >= 1"),
+    ({"n": 6, "seed": -1, "k": 3}, "seed"),
+    ({"n": 6, "seed": -1, "model": "hypertree"}, "seed"),
+], ids=["n0", "n-negative", "seed", "hypertree-seed"])
+def test_config_rejects_a_bad_n_or_seed(kwargs, reason):
+    # at construction: n = 0 used to divide by zero in _chunks, a negative seed to fail in numpy
+    with pytest.raises(InvalidInputError, match=reason):
+        ExperimentConfig(trials=2, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--n", "0", "--k", "3", "--trials", "2"],
+    ["campaign", "--n", "6", "--k", "3", "--trials", "2", "--seed", "-1"],
+    ["sample", "--n", "5", "--k", "3", "--seed", "-1"],
+    ["defect", "--n", "5", "--k", "3", "--trials", "2", "--seed", "-1"],
+], ids=["campaign-n", "campaign-seed", "sample-seed", "defect-seed"])
+def test_cli_bad_n_or_seed_is_reported(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_k_schedule_resolution():
     assert ExperimentConfig(n=100, trials=1, seed=0, k_schedule="loglog:2.0").resolve_k() == 4
     assert ExperimentConfig(n=100, trials=1, seed=0, k_schedule="pow:0.4").resolve_k() == 7

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -112,10 +113,10 @@ def test_cokernel_matches_dense_reference_on_samples(model, n, draws):
 
 @pytest.mark.parametrize("k", [5, 7])
 def test_cokernel_at_n100(k):
-    # cores of 17-18 and 28-29 rows; the dense routine alone took about 66 s per (100, 7) matrix
+    # cores of 18 and 30 rows; the dense routine alone took about 66 s per (100, 7) matrix
     mat = sample_matrix(100, k, rng=k)
     cok = cokernel(mat)
-    assert cok.is_finite and cok.order() == abs(int_det(mat))
+    assert cok.is_finite and math.prod(cok.divisors) == abs(int_det(mat))
     assert rank_mod_p_reference(mat, 2)[1] == sum(1 for d in cok.divisors if d % 2 == 0)
 
 
@@ -129,7 +130,7 @@ def core_of(mat):
 
 @pytest.mark.parametrize("k,seeds", [(5, range(3)), (7, (7,))])
 def test_modular_core_equals_the_plain_loop_on_sampled_cores(k, seeds):
-    # cores of 17-19 rows at (100, 5) and 28 at (100, 7), each reduced both ways
+    # cores of 18-22 rows at (100, 5) and 30 at (100, 7), each reduced both ways
     for seed in seeds:
         core = core_of(sample_matrix(100, k, rng=seed))
         det = abs(int_det(core))
@@ -152,17 +153,17 @@ def test_micro_samples_take_the_modular_core(monkeypatch, n, k, draws):
         assert modulus == abs(int_det(core)) > 0
         sizes.append(len(core))
         assert cok == dense_cokernel(mat)
-        assert cok.order() == abs(int_det(mat))
+        assert math.prod(cok.divisors) == abs(int_det(mat))
     assert max(sizes) >= 3
 
 
 @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
 def test_growing_k_divisors_multiply_to_the_determinant(seed):
     # trial 0 of ExperimentConfig(n=100, k=10, seed=seed), drawn as run_trial draws it:
-    # cores of 37-40 rows with 101-105-bit determinants
+    # cores of 38-39 rows with 101-105-bit determinants
     mat = sample_matrix(100, 10, rng=np.random.default_rng([seed, 0]))
     cok = cokernel(mat)
-    assert cok.is_finite and cok.order() == abs(int_det(mat))
+    assert cok.is_finite and math.prod(cok.divisors) == abs(int_det(mat))
     for a, b in zip(cok.divisors, cok.divisors[1:]):
         assert b % a == 0
 
@@ -277,28 +278,26 @@ def test_scan_never_finds_a_cost_free_pivot(monkeypatch, model):
     assert costs and min(costs) > 0
 
 
-def least_unit_cost(live, cols):
-    """Reference: the least Markowitz cost over every live +-1 entry by a full scan, or None."""
-    return min(((len(row) - 1) * (len(cols[j]) - 1)
-                for row in live.values() for j, v in row.items() if v in (1, -1)), default=None)
+def shortest_row_unit(live, cols):
+    """Reference: by a full scan of every live +-1, the one of the shortest row holding one,
+    in its shortest column, the first row and then the first entry on ties; or None."""
+    units = [(len(row), r, len(cols[j]), c, (i, j))
+             for r, (i, row) in enumerate(live.items())
+             for c, (j, v) in enumerate(row.items()) if v in (1, -1)]
+    return min(units)[-1] if units else None
 
 
 @pytest.mark.parametrize("model,n,draws", [
     ("hypertree", 8, 10), ("hypertree", 16, 10), ("hypertree", 20, 4), ("bn_matrix", 30, 10),
 ], ids=["hypertree-8", "hypertree-16", "hypertree-20", "bn_matrix"])
-def test_scan_stops_early_at_a_least_cost_pivot(monkeypatch, model, n, draws):
-    # the shortest-row-first scan stops early but still takes a +-1 of least Markowitz cost
+def test_scan_takes_the_unit_of_the_shortest_row(monkeypatch, model, n, draws):
+    # the one-pass scan takes the pivot a full scan of the live +-1 entries picks
     scans = []
 
     def traced(live, cols, _scan=snf._unit_pivot):
-        least = least_unit_cost(live, cols)
         pivot = _scan(live, cols)
-        if pivot is None:
-            assert least is None
-        else:
-            i, j = pivot
-            assert live[i][j] in (1, -1)
-            scans.append(((len(live[i]) - 1) * (len(cols[j]) - 1), least))
+        assert pivot == shortest_row_unit(live, cols)
+        scans.append(pivot)
         return pivot
 
     monkeypatch.setattr(snf, "_unit_pivot", traced)
@@ -306,7 +305,21 @@ def test_scan_stops_early_at_a_least_cost_pivot(monkeypatch, model, n, draws):
         rng = np.random.default_rng(seed)
         mat = sample_matrix(n, 3, rng) if model == "bn_matrix" else sample_hypertree(n, rng)[1]
         assert cokernel(mat) == dense_cokernel(mat)
-    assert scans and all(cost == least for cost, least in scans)
+    assert any(pivot is not None for pivot in scans)
+
+
+@pytest.mark.parametrize("model,n,k", [("bn_matrix", 30, 3), ("hypertree", 16, None), ("bn_matrix", 100, 10)],
+                         ids=["bn_matrix", "hypertree", "bn_matrix-100-10"])
+def test_cokernel_is_invariant_under_row_and_column_permutations(model, n, k):
+    # the scan breaks ties by row order, so a permutation changes the pivots but not the cokernel
+    rng = np.random.default_rng(1)
+    mat = sample_matrix(n, k, rng) if model == "bn_matrix" else sample_hypertree(n, rng)[1]
+    reference = cokernel(mat)
+    shuffle = random.Random(n)
+    for _ in range(4):
+        size = len(mat)  # square: n rows at (n, k), C(n-1, 2) on a hypertree
+        rows, cols = shuffle.sample(range(size), size), shuffle.sample(range(size), size)
+        assert cokernel([[mat[i][j] for j in cols] for i in rows]) == reference
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -422,7 +435,7 @@ def test_sylow_examples():
     assert sylow(c, 2).partition == (2, 2)
     assert sylow(c, 5).partition == ()
     inf = sylow(CokernelClass(free_rank=1, divisors=()), 2)
-    assert inf.infinite and inf.order() is None
+    assert inf.infinite and inf.partition == ()
 
 
 def test_sylow_prime_check():

@@ -4,6 +4,7 @@ import pytest
 
 from rowsparse.errors import InvalidInputError
 from rowsparse.intlinalg import int_det
+from rowsparse.sampling import BoundaryRows
 from rowsparse.structured import (
     boundary_matrix,
     boundary_row_faces,
@@ -114,6 +115,14 @@ def test_boundary_columns_are_sparse_signed(n, r):
         nz = [x for x in col if x]
         assert len(nz) <= r + 1
         assert all(x in (-1, 1) for x in nz)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_boundary_rows_are_the_columns_of_the_boundary_matrix(r):
+    # the sampler's host reads boundary_column_sparse; the hypertree-identity check reads boundary_matrix
+    family = BoundaryRows(6, r)
+    rows = [family.dense_row(i) for i in range(family.n_items)]
+    assert rows == [list(col) for col in zip(*boundary_matrix(6, r))]
 
 
 def test_boundary_matrix_range_check():
