@@ -48,6 +48,13 @@ def test_config_validation():
     for weight in ({"k": 5}, {"k_schedule": "pow:0.5"}):
         with pytest.raises(InvalidInputError):
             ExperimentConfig(n=6, trials=3, seed=0, model="hypertree", **weight)
+    # at construction: n = 0 used to divide by zero in _chunks, a negative seed to fail in numpy
+    for n in (0, -1):
+        with pytest.raises(InvalidInputError, match="n >= 1"):
+            ExperimentConfig(n=n, trials=2, seed=0, k=3)
+    for weight in ({"k": 3}, {"model": "hypertree"}):
+        with pytest.raises(InvalidInputError, match="seed"):
+            ExperimentConfig(n=6, trials=2, seed=-1, **weight)
 
 
 def test_config_rejects_an_unknown_precision():
@@ -63,23 +70,11 @@ def test_config_rejects_an_unknown_precision():
         build_parser().parse_args(argv + ["float32"])
 
 
-@pytest.mark.parametrize("kwargs,reason", [
-    ({"n": 0, "seed": 0, "k": 3}, "n >= 1"),
-    ({"n": -1, "seed": 0, "k": 3}, "n >= 1"),
-    ({"n": 6, "seed": -1, "k": 3}, "seed"),
-    ({"n": 6, "seed": -1, "model": "hypertree"}, "seed"),
-], ids=["n0", "n-negative", "seed", "hypertree-seed"])
-def test_config_rejects_a_bad_n_or_seed(kwargs, reason):
-    # at construction: n = 0 used to divide by zero in _chunks, a negative seed to fail in numpy
-    with pytest.raises(InvalidInputError, match=reason):
-        ExperimentConfig(trials=2, **kwargs)
-
-
 @pytest.mark.parametrize("argv", [
     ["campaign", "--n", "0", "--k", "3", "--trials", "2"],
     ["campaign", "--n", "6", "--k", "3", "--trials", "2", "--seed", "-1"],
     ["sample", "--n", "5", "--k", "3", "--seed", "-1"],
-    ["defect", "--n", "5", "--k", "3", "--trials", "2", "--seed", "-1"],
+    ["defect", "--n", "5", "--k", "3", "--trials", "100", "--seed", "-1"],
 ], ids=["campaign-n", "campaign-seed", "sample-seed", "defect-seed"])
 def test_cli_bad_n_or_seed_is_reported(capsys, argv):
     assert main(argv) == 2

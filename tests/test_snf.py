@@ -169,7 +169,7 @@ def test_growing_k_divisors_multiply_to_the_determinant(seed):
 
 
 def test_growing_k_heavy_core_is_fast_and_keeps_the_plain_divisors():
-    # seed 1001's 37-row core took the plain loop 45-64 s; these are the divisors it gave
+    # seed 1001's core took the plain loop 45-64 s; these are the divisors it gave
     family = cached_family(BasisSumRows, 100, 10)
     subset = sample_volume(family, np.random.default_rng([1001, 0]))
     sparse = [family.sparse_row(family.item_index(b)) for b in subset]
@@ -316,8 +316,8 @@ def test_cokernel_is_invariant_under_row_and_column_permutations(model, n, k):
     mat = sample_matrix(n, k, rng) if model == "bn_matrix" else sample_hypertree(n, rng)[1]
     reference = cokernel(mat)
     shuffle = random.Random(n)
+    size = len(mat)  # square: n rows at (n, k), C(n-1, 2) on a hypertree
     for _ in range(4):
-        size = len(mat)  # square: n rows at (n, k), C(n-1, 2) on a hypertree
         rows, cols = shuffle.sample(range(size), size), shuffle.sample(range(size), size)
         assert cokernel([[mat[i][j] for j in cols] for i in rows]) == reference
 
