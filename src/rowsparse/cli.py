@@ -106,13 +106,16 @@ def cmd_moment_exact(args):
 def cmd_cl_table(args):
     p = args.prime
     if args.law == "sylow":
+        groups = p_groups_up_to(p, args.cap)  # before the header, so a bad cap prints none
         print("group,partition,cl_probability")
-        for G in p_groups_up_to(p, args.cap):
+        for G in groups:
             part = G.primary_partitions().get(p, ())
             print(f"{G.label()},{'+'.join(map(str, part)) or '0'},{cl_probability(G, p):.9f}")
     else:
         if p != 2:
             raise InvalidInputError("the corank law is tabulated at p=2")
+        if args.cap < 0:
+            raise InvalidInputError(f"the corank cap must be >= 0, got {args.cap}")
         print("corank,cl_probability")
         for r in range(args.cap + 1):
             print(f"{r},{cl_corank_probability(r):.9f}")
@@ -139,9 +142,12 @@ def cmd_verify(args):
               f"{entry['elapsed_ms']:10.1f} ms  {entry['detail']}")
         failures += entry["status"] != "pass"
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            json.dump(ledger, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                json.dump(ledger, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.json_out}: {exc.strerror}") from None
     print(f"{len(ledger) - failures}/{len(ledger)} identities verified")
     return 1 if failures else 0
 

@@ -160,7 +160,7 @@ def run_trial(cfg, trial_id, subset=None):
     family = _trial_family(cfg)
     if subset is None:
         subset = sample_volume(family, _trial_rng(cfg, trial_id), cfg.precision)
-    mat = [family.sparse_row(family.item_index(ident)) for ident in subset]
+    mat = [family.item_row(ident) for ident in subset]
     cok = cokernel(mat, family.ncols)
     syl = {}
     for p in cfg.primes:
@@ -194,7 +194,7 @@ def _chunks(cfg, workers=1):
     if cfg.model == "bn_matrix":
         cap = max(1, CHUNK_ENTRIES // max(cfg.n * cfg.n, cfg.n * cfg.resolve_k()))
     else:
-        cap = cfg.trials  # the boundary draw loops, holding one draw's state at a time
+        cap = cfg.trials  # sample_float_batch bounds the boundary walk's slices itself
     count = -(-cfg.trials // cap)  # the fewest chunks that fit
     count = -(-count // workers) * workers
     size = -(-cfg.trials // count)
@@ -219,6 +219,8 @@ def run_campaign(cfg, out_dir=None, tv_cap=81):
     Returns (records, report). Worker count comes from worker_count(); outputs
     are identical either way.
     """
+    if tv_cap < 1:  # refused before any draw, not in report_tv after all of them
+        raise InvalidInputError(f"the Sylow order cap must be >= 1, got {tv_cap}")
     workers = worker_count()
     chunks = _chunks(cfg, workers)
     run = partial(_run_chunk, cfg)
@@ -233,15 +235,18 @@ def run_campaign(cfg, out_dir=None, tv_cap=81):
     records = [rec for chunk in done for rec in chunk]
     report = build_report(cfg, records, tv_cap=tv_cap)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "trials.jsonl"), "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-            fh.write(report_csv(report))
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "trials.jsonl"), "w") as fh:
+                for rec in records:
+                    fh.write(json.dumps(rec.to_json_dict(), sort_keys=True) + "\n")
+            with open(os.path.join(out_dir, "report.json"), "w") as fh:
+                json.dump(report, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+            with open(os.path.join(out_dir, "report.csv"), "w") as fh:
+                fh.write(report_csv(report))
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write under {out_dir}: {exc.strerror}") from None
     return records, report
 
 

@@ -275,6 +275,8 @@ def p_groups_up_to(p, max_order):
     """All abelian p-groups of order <= max_order (including the trivial one)."""
     if not is_prime(p):
         raise InvalidInputError(f"{p} is not prime")
+    if max_order < 1:
+        raise InvalidInputError(f"the Sylow order cap must be >= 1, got {max_order}")
     out = [FiniteAbelianGroup()]
     e_max = 0
     while p ** (e_max + 1) <= max_order:

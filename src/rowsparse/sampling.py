@@ -24,11 +24,12 @@ marginals of Q (`BasisResidual`): O(n^3 + k n^2) time per draw. Their float
 state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
 range from k = 209 at n = 30) appears only in the exact methods. A call on a
 list of B Generators (`sample_volume(family, [g_1, ..., g_B])`, where a
-Generator may repeat) runs the same walk once, vectorized over the B draws
-(`BasisResidualBatch`), and returns the B tuples that one call per entry
-returns. Below BATCH_WALK_MIN draws it loops the per-call walk, which is then
-the faster one; that walk is also the reference the batched one is tested
-against.
+Generator may repeat) runs the host's walk once, vectorized over the B draws
+(`BasisResidualBatch`, `RowResidualBatch`), and returns the B subsets that
+one call per entry returns. An explicit or boundary host walks the list in
+even slices of at most ROW_WALK_ENTRIES floats. Below BATCH_WALK_MIN draws
+per walk, or per slice, it loops the per-call walk, which is then the faster
+one; that walk is also the reference the vectorized ones are tested against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -68,12 +69,18 @@ RESIDUAL_TOLERANCE = 1e-9
 # the draws per sample_volume call of the (3, 3) oracle checks: one call returns a
 # list of about 0.14 MB and allocates at most about 0.6 MB on the way
 DRAW_BATCH = 1000
-# the fewest draws a basis-sum host walks as one batch: per draw, the batched
-# walk beats a loop of calls from 4-6 draws at (12, 5), (30, 3) and (100, 3), from 8
-# at (3, 3) and from 10-12 at (3, 100) and (10, 1000)
+# the fewest draws a host walks as one batch: per draw, the basis-sum walk beats a
+# loop of calls from 4-6 draws at (12, 5), (30, 3) and (100, 3), from 8 at (3, 3) and
+# from 10-12 at (3, 100) and (10, 1000); 8 boundary draws take 0.35-0.53x at n = 5-16
 BATCH_WALK_MIN = 8
 # float entries of the temporary a batched pick's downdate of Q' allocates at a time
 DOWNDATE_ENTRIES = 2**16
+# float entries one walked slice of a Generator list holds on an explicit or boundary
+# host, max(rows x width, m^2) per draw (2 MB of G at most). Per draw, the walk took
+# 0.35-0.55x the loop's time at n = 5-16, 0.72x at n = 20 (8 draws), and 1.2-1.3x at
+# n = 24-30, where the slice's G outgrows the cache. So this walks 23 draws at n = 16
+# and 8 at n = 20, and from n = 21 (m^2 = 36,100) a list loops
+ROW_WALK_ENTRIES = 2**18
 
 
 def _check_float_entries(entries):
@@ -102,6 +109,16 @@ def _as_rng(rng):
         raise InvalidInputError(f"a seed must be a non-negative integer, got {rng!r}") from None
 
 
+def _uniforms(rngs, count):
+    """Row i: rngs[i].random(count), in list order; one Generator repeated gives one call."""
+    if rngs.count(rngs[0]) == len(rngs):
+        return rngs[0].random((len(rngs), count))
+    uniforms = np.empty((len(rngs), count))
+    for g, row in zip(rngs, uniforms):
+        g.random(out=row)
+    return uniforms
+
+
 class RowFamily:
     """A finite family of integer rows in R^m supporting sparse projections.
 
@@ -126,6 +143,10 @@ class RowFamily:
 
     def sparse_row(self, i):
         raise NotImplementedError
+
+    def item_row(self, ident):
+        """The sparse row of the item named ident."""
+        return self.sparse_row(self.item_index(ident))
 
     def sparse_rows(self):
         """Every row's sparse form, built once per host and kept."""
@@ -208,8 +229,22 @@ class RowFamily:
         return tuple(sorted(self.item(residual.pick(u)) for u in uniforms))
 
     def sample_float_batch(self, rngs):
-        """The list of `sample_float(g)` for each Generator g in rngs, in order."""
-        return [self.sample_float(g) for g in rngs]
+        """`sample_float(g)` for each g in rngs, subset for subset: walked together
+        (`RowResidualBatch`) in even slices of at most ROW_WALK_ENTRIES // max(rows x
+        width, m^2) draws, and looped where a slice holds fewer than BATCH_WALK_MIN."""
+        per_draw = max(self.n_items * self.row_width(), self.ncols**2)
+        _check_float_entries(per_draw)
+        size = len(rngs)
+        count = -(-size // max(1, ROW_WALK_ENTRIES // per_draw))  # the fewest slices that fit
+        bounds = [i * size // count for i in range(count + 1)]
+        return [s for lo, hi in zip(bounds, bounds[1:]) for s in self._walk(rngs[lo:hi])]
+
+    def _walk(self, rngs):
+        if len(rngs) < BATCH_WALK_MIN:
+            return [self.sample_float(g) for g in rngs]
+        residual = RowResidualBatch(self, len(rngs))
+        picks = [residual.pick(u) for u in _uniforms(rngs, self.ncols).T]
+        return [tuple(sorted(map(self.item, draw))) for draw in np.array(picks).T.tolist()]
 
     # -- exact plumbing ----------------------------------------------------
 
@@ -274,6 +309,55 @@ class RowResidual:
         return j
 
 
+class RowResidualBatch:
+    """`RowResidual` vectorized over a leading draw axis: G (draws, m, m) and r (draws, rows).
+
+    Each stacked matmul makes, draw by draw, the BLAS call of `RowResidual.pick`
+    on operands of the same shapes and layouts, and the other steps run along the
+    same axes. So each draw's r, G and picks equal a `RowResidual`'s, bit for bit.
+    """
+
+    def __init__(self, family, draws):
+        self.coords, self.vals = family._sparse_arrays()
+        self.leverage = family.leverage_float()
+        self.w = family._gram_inv_float()
+        self.g = np.empty((draws,) + self.w.shape)
+        self.t = 0
+        self.r = np.tile(self.leverage, (draws, 1))
+
+    def pick(self, u):
+        """Each draw i's `RowResidual.pick(u[i])`; raises where any one of them would."""
+        r = self.r
+        every = np.arange(len(r))
+        cum = np.cumsum(r, axis=1)
+        # searchsorted(side="right") on a nondecreasing cum: the count at or below the target
+        j = np.minimum((cum <= (u * cum[:, -1])[:, None]).sum(axis=1), r.shape[1] - 1)
+        cj = self.coords[:, j].T  # (draws, width)
+        # each draw's row a strided column and G's picked columns in column-major order,
+        # the layouts of vals[:, j] and g[:t, cj] in RowResidual.pick
+        vj = np.take(self.vals, j, axis=1).T[:, :, None]
+        t = self.t
+        qx = (vj.transpose(0, 2, 1) @ self.w[cj])[:, 0]
+        if t:
+            g = self.g[:, :t]
+            gx = g.transpose(0, 2, 1)[every[:, None], cj].transpose(0, 2, 1) @ vj
+            qx -= (gx.transpose(0, 2, 1) @ g)[:, 0]  # Q x = W x - G^T (G x)
+        xqx = (qx[every[:, None], cj][:, None, :] @ vj)[:, 0, 0]
+        leverage = self.leverage[j]
+        bad = np.flatnonzero(~(xqx > RESIDUAL_TOLERANCE * leverage))  # also NaN
+        if len(bad):  # raise as the first such draw's own pick does
+            _direction(qx[bad[0]], float(xqx[bad[0]]), leverage[bad[0]])
+        d = self.g[:, t] = qx / np.sqrt(xqx)[:, None]
+        self.t = t + 1
+        proj = d[:, self.coords]
+        proj *= self.vals  # in place: one (draws, width, rows) temporary, not two
+        proj = proj.sum(axis=1)
+        r -= proj * proj
+        np.maximum(r, 0.0, out=r)
+        r[every, j] = 0.0
+        return j
+
+
 class BasisSumRows(RowFamily):
     """All rows e_{b_1}+...+e_{b_k}, b in [1,n]^k, in lexicographic tuple order."""
 
@@ -303,20 +387,26 @@ class BasisSumRows(RowFamily):
             digits.append(d + 1)
         return tuple(reversed(digits))
 
-    def item_index(self, b):
+    def _checked(self, b):
         validate_row_tuple(b, self.n)
         if len(b) != self.k:
             raise InvalidInputError(f"tuple weight {len(b)} != {self.k}")
+        return b
+
+    def item_index(self, b):
         i = 0
-        for x in b:
+        for x in self._checked(b):
             i = i * self.n + (x - 1)
         return i
 
-    def sparse_row(self, i):
-        counts = {}
-        for x in self.item(i):
+    def item_row(self, b):
+        counts = {}  # the slots of b counted directly, not through its index and back
+        for x in self._checked(b):
             counts[x - 1] = counts.get(x - 1, 0) + 1
         return tuple(sorted(counts.items()))
+
+    def sparse_row(self, i):
+        return self.item_row(self.item(i))
 
     def gram(self):
         return gram_closed_form(self.n, self.k)
@@ -345,17 +435,11 @@ class BasisSumRows(RowFamily):
         BATCH_WALK_MIN draws on."""
         size = len(rngs)
         if size < BATCH_WALK_MIN:
-            return super().sample_float_batch(rngs)
+            return [self.sample_float(g) for g in rngs]
         n, k = self.n, self.k
         _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
         residual = BasisResidualBatch(self, size)
-        # row i: the stream of draw i's sample_float; one Generator repeated gives one call
-        if rngs.count(rngs[0]) == size:
-            uniforms = rngs[0].random((size, n * k))
-        else:
-            uniforms = np.empty((size, n * k))
-            for g, row in zip(rngs, uniforms):
-                g.random(out=row)
+        uniforms = _uniforms(rngs, n * k)
         picks = [
             list(map(tuple, (residual.pick(uniforms[:, s : s + k]) + 1).tolist()))
             for s in range(0, n * k, k)
@@ -690,9 +774,10 @@ def sample_volume(family, rng=None, precision="float64"):
     Generators returns what one call per entry returns, in order, and leaves
     each Generator where those calls leave it. A Generator may repeat, so
     [rng] * B gives the B subsets that B successive calls on rng return. A
-    float64 basis-sum host draws B >= BATCH_WALK_MIN of them as one walk
-    vectorized over the B draws, whose numpy call overhead per slot the B
-    draws share; fewer draws, every other host and exact precision loop.
+    float64 host draws B >= BATCH_WALK_MIN of them as one walk vectorized over
+    the B draws, whose numpy call overhead per pick the B draws share (an
+    explicit or boundary host in slices of at most ROW_WALK_ENTRIES floats);
+    fewer draws, smaller slices and exact precision loop.
     """
     rngs = _generator_list(rng)
     if family.ncols < 1:

@@ -444,6 +444,56 @@ def test_cli_campaign_and_report(tmp_path, capsys):
     assert "sylow" in report and "2" in report["sylow"]
 
 
+def _unwritable(tmp_path):
+    """A path whose parent is a regular file, so no write under it can succeed."""
+    parent = tmp_path / "file"
+    parent.write_text("")
+    return str(parent / "x")
+
+
+@pytest.mark.parametrize("command", ["verify", "campaign"])
+def test_cli_write_failure_is_reported(capsys, tmp_path, command):
+    # exit 1 is kept for a failed identity; a path that cannot be written is bad input
+    path = _unwritable(tmp_path)
+    if command == "verify":
+        argv = ["verify", "--json-out", path]
+    else:
+        argv = ["campaign", "--n", "5", "--model", "hypertree", "--trials", "3", "--out", path]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write") and path in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "--n", "10", "--k", "3", "--trials", "50", "--seed", "1", "--cap", "0"],
+    ["campaign", "--n", "6", "--model", "hypertree", "--trials", "4", "--cap", "-2"],
+    ["cl-table", "--prime", "2", "--cap", "0"],
+    ["cl-table", "--prime", "3", "--cap", "-1"],
+    ["cl-table", "--prime", "2", "--law", "corank", "--cap", "-3"],
+], ids=["campaign-0", "campaign-hypertree", "cl-table-0", "cl-table-negative", "corank"])
+def test_cli_cap_below_its_least_is_refused(capsys, monkeypatch, argv):
+    # cap 0 used to list the trivial group with count 0 while counting its trials as "other"
+    def draw(*args):
+        raise AssertionError("the campaign drew before checking its cap")
+
+    monkeypatch.setattr(experiment, "sample_volume", draw)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "cap must be" in captured.err
+    assert captured.out == ""  # no table header either
+
+
+def test_report_cap_below_one_is_refused(capsys, tmp_path):
+    records, _ = run_campaign(ExperimentConfig(n=4, trials=3, seed=0, k=3), out_dir=str(tmp_path))
+    with pytest.raises(InvalidInputError):
+        report_tv(records, 2, 0)
+    argv = ["report", "--trials", str(tmp_path / "trials.jsonl"), "--prime", "2", "--cap", "0"]
+    assert main(argv) == 2
+    assert "cap must be" in capsys.readouterr().err
+    assert main(argv[:-1] + ["1"]) == 0
+
+
 def test_cli_invalid_input_is_reported(capsys):
     assert main(["sample", "--n", "4", "--seed", "0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -20,8 +20,10 @@ from rowsparse.sampling import (
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
+    ROW_WALK_ENTRIES,
     RowFamily,
     RowResidual,
+    RowResidualBatch,
     cached_family,
     enumerate_distribution,
     sample_hypertree,
@@ -456,11 +458,11 @@ def test_batched_basis_draws_equal_successive_calls_at_campaign_hosts(n, k, size
     ],
     ids=["boundary-8-2", "matrix-40x8", "basis-2-3-exact"],
 )
-def test_size_loops_on_other_hosts_and_precisions(host, precision):
+def test_size_equals_successive_calls_on_other_hosts_and_precisions(host, precision):
+    # 6 draws loop the per-call walk; 10 Generators are walked together, except in exact mode
     batch, calls, rng_a, rng_b = _batch_and_calls(host, 11, 6, precision)
     assert batch == calls
     assert rng_a.bit_generator.state == rng_b.bit_generator.state
-    # and so does a Generator list, past BATCH_WALK_MIN Generators
     batch, calls, gens_a, gens_b = _list_and_calls(host, range(10), precision)
     assert batch == calls
     assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
@@ -568,6 +570,162 @@ def test_generic_sampler_mass_stays_on_its_invariant(host, draws):
     assert worst < 1e-9
 
 
+def _row_walk_states(host, uniforms):
+    """(row, r, G so far) after each pick of a RowResidual fed uniforms; None if it raises."""
+    res = RowResidual(host)
+    states = []
+    try:
+        for u in uniforms:
+            j = res.pick(u)
+            states.append((j, res.r.copy(), res.g[: res.t].copy()))
+    except DegenerateHostError:
+        return None
+    return states
+
+
+@pytest.mark.parametrize(
+    "host,draws",
+    [
+        (BoundaryRows(5, 2), 60),
+        (BoundaryRows(7, 3), 30),
+        (BoundaryRows(9, 2), 20),
+        (MatrixRows(_full_rank_rows(5, 40, 8)), 30),
+        (MatrixRows(_full_rank_rows(6, 12, 12)), 20),
+    ],
+    ids=["boundary-5-2", "boundary-7-3", "boundary-9-2", "matrix-40x8", "matrix-12x12"],
+)
+def test_row_walk_state_equals_per_call_state(host, draws):
+    # r and G bit for bit, after every pick. A uniform of exactly 1.0 caps the pick at the last row,
+    # which may be spent, and 0.0 takes the first row with mass
+    m = host.ncols
+    rng = np.random.default_rng([SEED, m, draws])
+    uniforms = rng.random((draws, m))
+    uniforms[rng.random(uniforms.shape) < 0.05] = 1.0
+    uniforms[rng.random(uniforms.shape) < 0.05] = 0.0
+    calls = [_row_walk_states(host, row) for row in uniforms.tolist()]
+    good = [i for i, c in enumerate(calls) if c is not None]
+    assert good
+    walk = RowResidualBatch(host, len(good))
+    for t in range(m):
+        rows = walk.pick(uniforms[good, t])
+        for b, i in enumerate(good):
+            j, r, g = calls[i][t]
+            assert rows[b] == j
+            assert np.array_equal(walk.r[b], r)
+            assert np.array_equal(walk.g[b, : t + 1], g)  # so Q = W - G^T G is equal too
+    if len(good) < draws:  # a walk raises where any one of its draws would
+        walk = RowResidualBatch(host, draws)
+        with pytest.raises(DegenerateHostError):
+            for t in range(m):
+                walk.pick(uniforms[:, t])
+
+
+@pytest.mark.parametrize(
+    "host,draws",
+    [(BoundaryRows(8, 2), 50), (BoundaryRows(16, 2), 12), (MatrixRows(_full_rank_rows(5, 40, 8)), 50)],
+    ids=["boundary-8-2", "boundary-16-2", "matrix-40x8"],
+)
+def test_row_walk_mass_stays_on_its_invariant(host, draws):
+    m = host.ncols
+    gram = np.array(host.gram(), dtype=np.float64)
+    rng = np.random.default_rng([SEED, m])
+    walk = RowResidualBatch(host, draws)
+    worst = 0.0
+    for t in range(m + 1):
+        worst = max(worst, np.abs(walk.r.sum(axis=1) - (m - t)).max())
+        for g in walk.g[:, :t]:
+            worst = max(worst, abs((gram * (walk.w - g.T @ g)).sum() - (m - t)))
+        if t < m:
+            walk.pick(rng.random(draws))
+    assert worst < 1e-9
+    with pytest.raises(DegenerateHostError):
+        walk.pick(rng.random(draws))  # every row is spent
+
+
+@st.composite
+def _generic_hosts(draw):
+    """A boundary host at n = 4-9, or an explicit full-rank integer host."""
+    if draw(st.booleans()):
+        n = draw(st.integers(4, 9))
+        return cached_family(BoundaryRows, n, draw(st.integers(1, min(3, n - 2))))
+    m = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=m, max_size=m)
+    rows = draw(st.lists(row, min_size=m, max_size=m + 8))
+    assume(int_det(MatrixRows(rows).gram()) != 0)
+    return MatrixRows(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    host=_generic_hosts(),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+    cap=st.integers(1, 30),
+    repeat=st.booleans(),
+)
+def test_generic_list_draws_equal_one_call_per_generator(host, seeds, cap, repeat):
+    # list sizes straddle BATCH_WALK_MIN and a slice cap of `cap` draws
+    per_draw = max(host.n_items * host.row_width(), host.ncols**2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampling, "ROW_WALK_ENTRIES", cap * per_draw)
+        if repeat:
+            gens_a = [np.random.default_rng(seeds[0])] * len(seeds)
+            gens_b = [np.random.default_rng(seeds[0])] * len(seeds)
+        else:
+            gens_a = [np.random.default_rng(s) for s in seeds]
+            gens_b = [np.random.default_rng(s) for s in seeds]
+        try:
+            calls = [sample_volume(host, g) for g in gens_b]
+        except DegenerateHostError:
+            with pytest.raises(DegenerateHostError):
+                sample_volume(host, gens_a)
+            return
+        assert sample_volume(host, gens_a) == calls
+    assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
+
+
+class _ScaledBoundaryRows(BoundaryRows):
+    """A boundary host whose draws start from scale x W, against leverages (r+1)/n."""
+
+    def __init__(self, n, scale):
+        super().__init__(n, 2)
+        self._winv = scale * BoundaryRows._gram_inv_float(self)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-12], ids=["no-mass", "no-residual"])
+def test_row_walk_raises_where_a_call_would(scale):
+    fam = _ScaledBoundaryRows(6, scale)
+    with pytest.raises(DegenerateHostError) as call:
+        sample_volume(fam, 0)
+    with pytest.raises(DegenerateHostError) as walk:
+        sample_volume(fam, [np.random.default_rng(0)] * BATCH_WALK_MIN)
+    assert str(walk.value) == str(call.value)
+
+
+def test_a_long_list_admits_every_host_a_single_draw_admits(monkeypatch):
+    # the float guard counts one draw, and a list walks in slices of at most ROW_WALK_ENTRIES
+    # entries: 1,001 draws on 5,000 rows of width 2 would be a 1.0e7-entry batch
+    walks = []
+
+    class Recorded(RowResidualBatch):
+        def __init__(self, family, draws):
+            walks.append(draws)
+            super().__init__(family, draws)
+
+    monkeypatch.setattr(sampling, "RowResidualBatch", Recorded)
+    rows = np.random.default_rng(3).integers(-3, 4, size=(5000, 2)).tolist()
+    host = MatrixRows(rows)
+    per_draw = 5000 * 2
+    batch, calls, _, _ = _list_and_calls(host, range(1001))
+    assert batch == calls
+    assert sum(walks) == 1001 and max(walks) * per_draw <= ROW_WALK_ENTRIES
+    assert max(walks) - min(walks) <= 1  # even slices
+    # a slice cap below BATCH_WALK_MIN draws loops: 3 draws on 40,000 rows
+    walks.clear()
+    host = MatrixRows(rows * 8)
+    batch, calls, _, _ = _list_and_calls(host, range(12))
+    assert batch == calls and walks == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.integers(1, 4).flatmap(
@@ -644,6 +802,18 @@ def test_item_index_rejects_unknown_identifiers():
     assert BasisSumRows(2, 3).item_index((np.int64(2), 1, 1)) == 4
 
 
+@pytest.mark.parametrize(
+    "host", [BasisSumRows(3, 3), BasisSumRows(2, 5), BoundaryRows(6, 2), MatrixRows([[1, 0], [2, 3]])],
+    ids=["basis-3-3", "basis-2-5", "boundary-6-2", "matrix-2x2"],
+)
+def test_item_row_is_the_sparse_row_of_the_item(host):
+    for i in range(host.n_items):
+        assert host.item_row(host.item(i)) == host.sparse_row(i)
+    for bad in ((1, 1), (0, 1, 1), (1.5, 1, 1), (1, 1, 1, 1, 1, 1), (9, 9, 9)):
+        with pytest.raises(InvalidInputError):
+            host.item_row(bad)
+
+
 def test_cached_family_shares_hosts():
     assert cached_family(BasisSumRows, 3, 3) is cached_family(BasisSumRows, 3, 3)
     assert cached_family(BoundaryRows, 5, 2) is not cached_family(BoundaryRows, 6, 2)
@@ -697,9 +867,8 @@ def test_hypertree_n5_distribution():
     rng = np.random.default_rng(17)
     draws = 20_000
     counts = Counter()
-    for _ in range(draws):
-        faces, _ = sample_hypertree(5, rng)
-        counts[faces] += 1
+    for _ in range(draws // DRAW_BATCH):  # the subsets of 20,000 sample_hypertree(5, rng) calls
+        counts.update(sample_volume(fam, [rng] * DRAW_BATCH))
     assert all(ss in dist for ss in counts)
     tv = 0.5 * sum(abs(counts.get(ss, 0) / draws - float(p)) for ss, p in dist.items())
     floor = sum(math.sqrt(p) for p in dist.values()) / math.sqrt(2 * math.pi * draws)
