@@ -26,7 +26,6 @@ from .snf import (
     CokernelClass,
     PGroupType,
     cokernel,
-    rank_mod_p,
     sylow,
 )
 from .structured import (

@@ -5,6 +5,7 @@ The process exits 0 iff no verification identity failed.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -135,19 +136,20 @@ def cmd_defect(args):
 
 
 def cmd_verify(args):
-    ledger = verify_suite(args.level)
+    try:  # opened first, so a path that cannot be written is refused before any identity runs
+        out = open(args.json_out, "w") if args.json_out else contextlib.nullcontext()
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.json_out}: {exc.strerror}") from None
+    with out as fh:
+        ledger = verify_suite(args.level)
+        if fh is not None:
+            json.dump(ledger, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     failures = 0
     for entry in ledger:
         print(f"[{entry['status'].upper():4s}] {entry['name']:32s} "
               f"{entry['elapsed_ms']:10.1f} ms  {entry['detail']}")
         failures += entry["status"] != "pass"
-    if args.json_out:
-        try:
-            with open(args.json_out, "w") as fh:
-                json.dump(ledger, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {args.json_out}: {exc.strerror}") from None
     print(f"{len(ledger) - failures}/{len(ledger)} identities verified")
     return 1 if failures else 0
 

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from . import sampling
 from .errors import InvalidInputError
-from .sampling import _as_rng, sample_matrix
-from .snf import rank_mod_p
+from .sampling import _as_rng
+from .snf import cokernel
 from .structured import gram_determinant
 
 
@@ -66,18 +66,23 @@ def corank_tail_floor(k, r):
 
 
 def mc_corank_tail(n, k, r, trials, rng=None, precision="float64"):
-    """Monte Carlo estimate of P(F_2-corank >= r) with its binomial standard error."""
+    """Monte Carlo estimate of P(F_2-corank >= r) with its binomial standard error.
+
+    The trials are the successive draws on rng, taken one walk (`walk_size()`) at a time.
+    """
     if r == 0:
         return 1.0, 0.0
     if trials < 100:
         raise InvalidInputError("need at least 100 trials")
     rng = _as_rng(rng)
+    family = sampling.cached_family(sampling.BasisSumRows, n, k)
+    walk = family.walk_size()
     hits = 0
-    for _ in range(trials):
-        mat = sample_matrix(n, k, rng, precision)
-        _, corank = rank_mod_p(mat, 2)
-        if corank >= r:
-            hits += 1
+    for start in range(0, trials, walk):
+        for subset in sampling.sample_volume(family, [rng] * min(walk, trials - start), precision):
+            # the F_2 corank as run_trial reads it, off the cokernel of the square draw
+            if cokernel([family.item_row(b) for b in subset], n).dim_mod(2) >= r:
+                hits += 1
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)
 

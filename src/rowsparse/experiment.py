@@ -5,7 +5,8 @@ form data per trial, and emits a JSON-lines trial file plus JSON/CSV reports.
 Per-trial randomness derives from (seed, trial_id), so campaigns are
 reproducible trial-for-trial regardless of worker count. A campaign draws
 its trials a chunk at a time, one `sample_volume` call on the chunk's
-per-trial Generators, which a basis-sum host serves as one batched walk.
+per-trial Generators, which the host serves as one batched walk: a chunk
+holds at most the host's `walk_size()` trials.
 """
 
 import csv
@@ -37,11 +38,6 @@ from .sampling import PRECISIONS, BasisSumRows, BoundaryRows, cached_family, sam
 from .snf import cokernel, rank_mod_p, sylow
 
 WORKERS_ENV = "ROWSPARSE_WORKERS"
-# float entries of Q' (or uniforms) in one campaign chunk's batched basis-sum walk, about
-# 7.7 MB (plus a downdate slice of sampling.DOWNDATE_ENTRIES): a chunk holds at most
-# CHUNK_ENTRIES // max(n^2, n k) trials. Per draw, the walk stops getting cheaper at about
-# 96 draws at (100, 3) and (100, 10), and from 64-96 at (30, 3)
-CHUNK_ENTRIES = 96 * 100**2
 
 
 @dataclass(frozen=True)
@@ -188,14 +184,10 @@ def _run_chunk(cfg, trial_ids):
 
 
 def _chunks(cfg, workers=1):
-    """The trial ids as ranges of equal size, one per _run_chunk call: at most
-    CHUNK_ENTRIES // max(n^2, n k) trials on a basis-sum host (at least 1), and about a
-    multiple of `workers` ranges, so the pool's workers get even shares."""
-    if cfg.model == "bn_matrix":
-        cap = max(1, CHUNK_ENTRIES // max(cfg.n * cfg.n, cfg.n * cfg.resolve_k()))
-    else:
-        cap = cfg.trials  # sample_float_batch bounds the boundary walk's slices itself
-    count = -(-cfg.trials // cap)  # the fewest chunks that fit
+    """The trial ids as ranges of equal size, one per _run_chunk call: at most one walk's
+    draws each (the host's `walk_size()`), and about a multiple of `workers` ranges, so
+    the pool's workers get even shares."""
+    count = -(-cfg.trials // _trial_family(cfg).walk_size())  # the fewest chunks that fit
     count = -(-count // workers) * workers
     size = -(-cfg.trials // count)
     return [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]

@@ -24,12 +24,14 @@ marginals of Q (`BasisResidual`): O(n^3 + k n^2) time per draw. Their float
 state is Q' = beta Q, which starts at I - gamma J, so beta (past the float
 range from k = 209 at n = 30) appears only in the exact methods. A call on a
 list of B Generators (`sample_volume(family, [g_1, ..., g_B])`, where a
-Generator may repeat) runs the host's walk once, vectorized over the B draws
-(`BasisResidualBatch`, `RowResidualBatch`), and returns the B subsets that
-one call per entry returns. An explicit or boundary host walks the list in
-even slices of at most ROW_WALK_ENTRIES floats. Below BATCH_WALK_MIN draws
-per walk, or per slice, it loops the per-call walk, which is then the faster
-one; that walk is also the reference the vectorized ones are tested against.
+Generator may repeat) returns the B subsets that one call per entry returns;
+a single Generator is a list of one. Every host takes the list in even
+slices of at most `walk_size()` draws, its WALK_ENTRIES floats over its
+entries per draw, and runs its walk once per slice, vectorized over the
+slice's draws (`BasisResidualBatch`, `RowResidualBatch`). Campaigns and
+`mc_corank_tail` group their draws by the same size. A slice of fewer than
+BATCH_WALK_MIN draws loops the per-call walk, which is then the faster one;
+that walk is also the reference the vectorized ones are tested against.
 
 Two arithmetics: float64 (`sample_float`, one per host structure) and exact
 rationals (`_sample_volume_exact`, generic over hosts, with the sqrt-free
@@ -59,9 +61,10 @@ from .structured import (
 # the precisions sample_volume draws at: the float walk, or exact rational arithmetic
 PRECISIONS = ("float64", "exact")
 EXACT_ITEM_LIMIT = 10**5
-# caps the float paths' arrays: the generic path's padded sparse rows
+# caps one float draw's arrays: the generic path's padded sparse rows
 # (items x row width) and dense Gram (columns^2), and the basis-sum path's
-# residual operators and uniforms (max(n^2, n k) per draw, times the draws walked as one batch)
+# residual operator and uniforms (max(n^2, n k)); a walk holds at most the host's
+# WALK_ENTRIES, or one draw where that one is larger
 FLOAT_ENTRY_LIMIT = 10**7
 ENUMERATION_LIMIT = 10**6
 # a float pick must keep more than this share of its leverage as residual mass
@@ -75,12 +78,6 @@ DRAW_BATCH = 1000
 BATCH_WALK_MIN = 8
 # float entries of the temporary a batched pick's downdate of Q' allocates at a time
 DOWNDATE_ENTRIES = 2**16
-# float entries one walked slice of a Generator list holds on an explicit or boundary
-# host, max(rows x width, m^2) per draw (2 MB of G at most). Per draw, the walk took
-# 0.35-0.55x the loop's time at n = 5-16, 0.72x at n = 20 (8 draws), and 1.2-1.3x at
-# n = 24-30, where the slice's G outgrows the cache. So this walks 23 draws at n = 16
-# and 8 at n = 20, and from n = 21 (m^2 = 36,100) a list loops
-ROW_WALK_ENTRIES = 2**18
 
 
 def _check_float_entries(entries):
@@ -125,12 +122,20 @@ class RowFamily:
     Subclasses fill in: n_items, ncols, item(i), sparse_row(i). The Gram
     and the generic float path (`RowResidual`, which reads the rows as
     padded sparse arrays) take every row from `sparse_rows`, built once; a
-    subclass with more structure overrides `sample_float` and
-    `sample_float_batch`.
+    subclass with more structure overrides `sample_float`, `_walk` (its
+    vectorized walk), `_draw_entries` and WALK_ENTRIES. `walk_size()` is the
+    one rule for how many draws walk together, read by `sample_float_batch`
+    and by every caller that groups draws.
     """
 
     n_items = 0
     ncols = 0
+    # float entries one walk of a Generator list holds on an explicit or boundary host,
+    # max(rows x width, m^2) per draw (2 MB of G at most). Per draw, the walk took
+    # 0.35-0.55x the loop's time at n = 5-16, 0.72x at n = 20 (8 draws), and 1.2-1.3x at
+    # n = 24-30, where the walk's G outgrows the cache. So this walks 23 draws at n = 16
+    # and 8 at n = 20, and from n = 21 (m^2 = 36,100) a list loops
+    WALK_ENTRIES = 2**18
 
     def item(self, i):
         raise NotImplementedError
@@ -221,27 +226,37 @@ class RowFamily:
             self._lev = lev
         return self._lev
 
+    def _draw_entries(self):
+        """Float entries one draw holds: the padded sparse rows (rows x width) and G (m^2)."""
+        return max(self.n_items * self.row_width(), self.ncols**2)
+
+    def walk_size(self):
+        """The most draws one walk holds: WALK_ENTRIES // entries per draw, at least 1."""
+        return max(1, self.WALK_ENTRIES // self._draw_entries())
+
     def sample_float(self, rng):
         """Float64 chain-rule draw over the padded sparse rows of the whole host."""
-        _check_float_entries(max(self.n_items * self.row_width(), self.ncols**2))
+        _check_float_entries(self._draw_entries())
         residual = RowResidual(self)
         uniforms = rng.random(self.ncols).tolist()  # the stream of ncols rng.random() calls
         return tuple(sorted(self.item(residual.pick(u)) for u in uniforms))
 
     def sample_float_batch(self, rngs):
-        """`sample_float(g)` for each g in rngs, subset for subset: walked together
-        (`RowResidualBatch`) in even slices of at most ROW_WALK_ENTRIES // max(rows x
-        width, m^2) draws, and looped where a slice holds fewer than BATCH_WALK_MIN."""
-        per_draw = max(self.n_items * self.row_width(), self.ncols**2)
-        _check_float_entries(per_draw)
+        """`sample_float(g)` for each g in rngs, subset for subset: in even slices of at
+        most `walk_size()` draws, each walked together (`_walk`), or looped where it holds
+        fewer than BATCH_WALK_MIN."""
+        _check_float_entries(self._draw_entries())
         size = len(rngs)
-        count = -(-size // max(1, ROW_WALK_ENTRIES // per_draw))  # the fewest slices that fit
+        count = -(-size // self.walk_size())  # the fewest slices that fit
         bounds = [i * size // count for i in range(count + 1)]
-        return [s for lo, hi in zip(bounds, bounds[1:]) for s in self._walk(rngs[lo:hi])]
+        out = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            part = rngs[lo:hi]
+            out += self._walk(part) if len(part) >= BATCH_WALK_MIN else map(self.sample_float, part)
+        return out
 
     def _walk(self, rngs):
-        if len(rngs) < BATCH_WALK_MIN:
-            return [self.sample_float(g) for g in rngs]
+        """The draws of rngs as one vectorized walk (`RowResidualBatch`)."""
         residual = RowResidualBatch(self, len(rngs))
         picks = [residual.pick(u) for u in _uniforms(rngs, self.ncols).T]
         return [tuple(sorted(map(self.item, draw))) for draw in np.array(picks).T.tolist()]
@@ -361,6 +376,12 @@ class RowResidualBatch:
 class BasisSumRows(RowFamily):
     """All rows e_{b_1}+...+e_{b_k}, b in [1,n]^k, in lexicographic tuple order."""
 
+    # float entries of Q' (or uniforms) in one walk, about 7.7 MB (plus a downdate slice of
+    # DOWNDATE_ENTRIES): a walk holds at most WALK_ENTRIES // max(n^2, n k) draws. Per draw,
+    # the walk stops getting cheaper at about 96 draws at (100, 3) and (100, 10), and from
+    # 64-96 at (30, 3)
+    WALK_ENTRIES = 96 * 100**2
+
     def __init__(self, n, k):
         if n < 1 or k < 3:
             raise InvalidInputError("need n >= 1 and k >= 3")
@@ -422,23 +443,21 @@ class BasisSumRows(RowFamily):
         sq = sum(v * v for _, v in self.sparse_row(i))
         return (sq - self._gamma * self.k**2) / (self.k * self.n ** (self.k - 1))
 
+    def _draw_entries(self):
+        return max(self.n * self.n, self.n * self.k)  # Q' and the n k uniforms
+
     def sample_float(self, rng):
         """Chain-rule draw in the n-dimensional dual space; no host row is built."""
-        _check_float_entries(max(self.n * self.n, self.n * self.k))  # Q' and the n k uniforms
+        _check_float_entries(self._draw_entries())
         residual = BasisResidual(self)
         k = self.k
         uniforms = rng.random(self.n * k).tolist()  # the stream of n rng.random(k) calls
         return tuple(sorted(residual.pick(uniforms[s : s + k]) for s in range(0, self.n * k, k)))
 
-    def sample_float_batch(self, rngs):
-        """`sample_float(g)` for each g in rngs, tuple for tuple; one numpy walk from
-        BATCH_WALK_MIN draws on."""
-        size = len(rngs)
-        if size < BATCH_WALK_MIN:
-            return [self.sample_float(g) for g in rngs]
+    def _walk(self, rngs):
+        """The draws of rngs as one vectorized walk (`BasisResidualBatch`)."""
         n, k = self.n, self.k
-        _check_float_entries(size * max(n * n, n * k))  # the (size, n, n) Q' and the uniforms
-        residual = BasisResidualBatch(self, size)
+        residual = BasisResidualBatch(self, len(rngs))
         uniforms = _uniforms(rngs, n * k)
         picks = [
             list(map(tuple, (residual.pick(uniforms[:, s : s + k]) + 1).tolist()))
@@ -773,25 +792,26 @@ def sample_volume(family, rng=None, precision="float64"):
     one seed), None for seed 0, or a list of Generators. A list of
     Generators returns what one call per entry returns, in order, and leaves
     each Generator where those calls leave it. A Generator may repeat, so
-    [rng] * B gives the B subsets that B successive calls on rng return. A
-    float64 host draws B >= BATCH_WALK_MIN of them as one walk vectorized over
-    the B draws, whose numpy call overhead per pick the B draws share (an
-    explicit or boundary host in slices of at most ROW_WALK_ENTRIES floats);
-    fewer draws, smaller slices and exact precision loop.
+    [rng] * B gives the B subsets that B successive calls on rng return, and a
+    Generator or seed alone is a list of one. A float64 host takes the list
+    in even slices of at most `family.walk_size()` draws and walks a slice of
+    B >= BATCH_WALK_MIN draws as one walk vectorized over them, whose numpy
+    call overhead per pick the B draws share; smaller slices and exact
+    precision loop.
     """
     rngs = _generator_list(rng)
     if family.ncols < 1:
         raise InvalidInputError("host needs at least one column")
     if precision not in PRECISIONS:
         raise InvalidInputError(f"unknown precision {precision!r}")
-    if rngs is None:
-        rng = _as_rng(rng)
-        if precision == "float64":
-            return family.sample_float(rng)
-        return _sample_volume_exact(family, rng)
+    one = rngs is None
+    if one:
+        rngs = [_as_rng(rng)]
     if precision == "float64":
-        return family.sample_float_batch(rngs)
-    return [_sample_volume_exact(family, g) for g in rngs]
+        subsets = family.sample_float_batch(rngs)
+    else:
+        subsets = [_sample_volume_exact(family, g) for g in rngs]
+    return subsets[0] if one else subsets
 
 
 def enumerate_distribution(family):

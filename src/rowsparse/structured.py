@@ -26,6 +26,8 @@ _FLOAT_EXACT_LIMIT = 2**52
 
 def validate_row_tuple(b, n):
     """Check that b is a valid row index: a tuple over [1, n] of weight >= 3."""
+    if not isinstance(b, (tuple, list)):
+        raise InvalidInputError(f"a row index is a tuple of integers, got {b!r}")
     if len(b) < 3:
         raise InvalidInputError(f"row weight must be >= 3, got {len(b)}")
     for x in b:

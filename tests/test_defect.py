@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rowsparse import defect
+from rowsparse import sampling
 from rowsparse.defect import (
     bonferroni_lower,
     column_is_isolated_double,
@@ -15,6 +15,7 @@ from rowsparse.defect import (
     subset_family_mass,
 )
 from rowsparse.errors import InvalidInputError
+from rowsparse.sampling import BasisSumRows
 from rowsparse.snf import rank_mod_p
 from rowsparse.structured import gram_determinant, row_vector
 
@@ -130,16 +131,34 @@ def test_mc_corank_trivial_cases():
 
 
 def test_mc_corank_admits_every_host_a_single_draw_admits(monkeypatch):
-    # one sample_matrix call per trial: 1,000 trials at n = 120 are no 1.44e7-entry batch
-    calls = []
+    # 1,000 trials at n = 120 are drawn as lists of at most walk_size() (66) draws on one
+    # Generator, no 1.44e7-entry batch; each stub draw repeats one tuple, a corank-119 matrix
+    sizes = []
 
-    def draw(n, k, rng, precision):
-        calls.append((n, k, precision))
-        return [[1, 1], [1, 1]]
+    def draw(family, rngs, precision):
+        sizes.append(len(rngs))
+        assert precision == "float64" and all(g is rngs[0] for g in rngs)
+        return [((1, 1, 2),) * 120] * len(rngs)
 
-    monkeypatch.setattr(defect, "sample_matrix", draw)
+    monkeypatch.setattr(sampling, "sample_volume", draw)
     assert mc_corank_tail(120, 3, 1, 1000, rng=0) == (1.0, 0.0)
-    assert calls == [(120, 3, "float64")] * 1000
+    walk = BasisSumRows(120, 3).walk_size()
+    assert walk == 66 and sizes == [walk] * 15 + [1000 - 15 * walk]
+
+
+@pytest.mark.parametrize(
+    "args,seed,precision,est,se",
+    [
+        ((30, 3, 1, 1000), 707, "float64", 0.924, 0.00838),  # c07's draws
+        ((12, 5, 2, 300), 3, "float64", 0.21, 0.02352),
+        ((4, 3, 1, 200), 5, "exact", 0.71, 0.03209),
+    ],
+    ids=["30-3-c07", "12-5-r2", "4-3-exact"],
+)
+def test_mc_corank_estimates_are_pinned(args, seed, precision, est, se):
+    # the successive draws on one Generator, as one call per draw took them
+    got, got_se = mc_corank_tail(*args, rng=np.random.default_rng(seed), precision=precision)
+    assert got == est and got_se == pytest.approx(se, abs=1e-5)
 
 
 def test_mc_corank_even_weight_always_defective():
@@ -151,6 +170,7 @@ def test_mc_corank_even_weight_always_defective():
 def test_mc_corank_respects_exact_lower_bound():
     est, se = mc_corank_tail(20, 3, 1, 400, rng=np.random.default_rng(1))
     assert est >= float(bonferroni_lower(20, 3, 1)) - 3 * se
+    assert est == 0.885  # pinned, as in test_mc_corank_estimates_are_pinned
 
 
 def test_preconditions():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rowsparse
-from rowsparse import experiment, sampling
+from rowsparse import cli, experiment, sampling
 from rowsparse.cli import build_parser, main
 from rowsparse.errors import InvalidInputError
 from rowsparse.experiment import (
@@ -27,7 +27,7 @@ from rowsparse.experiment import (
 )
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.moments import surjection_moment_exact
-from rowsparse.sampling import BATCH_WALK_MIN, FLOAT_ENTRY_LIMIT, sample_volume
+from rowsparse.sampling import BATCH_WALK_MIN, FLOAT_ENTRY_LIMIT, BasisSumRows, sample_volume
 from rowsparse.snf import cokernel
 from test_snf import rank_mod_p_reference
 
@@ -174,16 +174,28 @@ def test_campaign_parallel_matches_serial(tmp_path):
 def test_chunk_fits_the_float_caps(n, k):
     # arithmetic only: no draw is made
     entries = max(n * n, n * k)
-    chunks = experiment._chunks(ExperimentConfig(n=n, trials=2 * 10**5, seed=0, k=k))
+    cfg = ExperimentConfig(n=n, trials=2 * 10**5, seed=0, k=k)
+    chunks = experiment._chunks(cfg)
     assert chunks[0].start == 0 and chunks[-1].stop == 2 * 10**5
     assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
     chunk = max(map(len, chunks))
-    assert 1 <= chunk
+    assert 1 <= chunk <= experiment._trial_family(cfg).walk_size()
     assert chunk * entries <= FLOAT_ENTRY_LIMIT  # every host a single draw admits stays admitted
-    assert chunk == 1 or chunk * entries <= experiment.CHUNK_ENTRIES <= FLOAT_ENTRY_LIMIT
+    assert chunk == 1 or chunk * entries <= BasisSumRows.WALK_ENTRIES <= FLOAT_ENTRY_LIMIT
 
 
-def test_chunks_split_the_trials_over_the_workers():
+@pytest.mark.parametrize(
+    "n,trials,sizes", [(16, 24, [12, 12]), (16, 100, [20] * 5), (24, 10, [4, 4, 2])]
+)
+def test_hypertree_chunks_hold_one_walk(n, trials, sizes):
+    # arithmetic only: a hypertree campaign holds one walk's Generators and subsets at a
+    # time, at most 23 trials at n = 16 and 4 at n = 24
+    cfg = ExperimentConfig(n=n, trials=trials, seed=0, model="hypertree")
+    assert [len(c) for c in experiment._chunks(cfg)] == sizes
+    assert max(sizes) <= experiment._trial_family(cfg).walk_size() == {16: 23, 24: 4}[n]
+
+
+def test_chunks_split_the_trials_over_the_workers(monkeypatch):
     def sizes(trials, workers):
         cfg = ExperimentConfig(n=30, trials=trials, seed=0, k=3)
         return [len(r) for r in experiment._chunks(cfg, workers)]
@@ -191,14 +203,17 @@ def test_chunks_split_the_trials_over_the_workers():
     assert sizes(40, 1) == [40] and sizes(40, 2) == [20, 20]
     assert sizes(41, 2) == [21, 20] and sizes(41, 3) == [14, 14, 13]
     # 5,000 trials at up to 1,066 per chunk: five chunks of 1,000, or six for two workers
-    assert experiment.CHUNK_ENTRIES // 900 == 1066
+    assert BasisSumRows(30, 3).walk_size() == 1066
     assert sizes(5000, 1) == [1000] * 5 and sizes(5000, 2) == [834] * 5 + [830]
+    # the chunk follows the host's walk budget: at most 100 trials of 900 entries
+    monkeypatch.setattr(BasisSumRows, "WALK_ENTRIES", 100 * 900)
+    assert sizes(250, 1) == [84, 84, 82]
 
 
 @pytest.mark.parametrize("workers", [None, "2"], ids=["serial", "two-workers"])
 def test_chunked_campaign_equals_standalone_trials(monkeypatch, workers):
     # two chunks: BATCH_WALK_MIN trials in the batched walk, one fewer in the per-call loop
-    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", BATCH_WALK_MIN * 4 * 4)
+    monkeypatch.setattr(BasisSumRows, "WALK_ENTRIES", BATCH_WALK_MIN * 4 * 4)
     if workers is None:
         monkeypatch.delenv("ROWSPARSE_WORKERS", raising=False)
     else:
@@ -463,6 +478,14 @@ def test_cli_write_failure_is_reported(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write") and path in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_cli_verify_refuses_its_json_out_before_any_identity(capsys, monkeypatch, tmp_path):
+    # the whole suite used to run before the path was opened
+    monkeypatch.setattr(cli, "verify_suite", lambda level: pytest.fail("the suite ran"))
+    path = _unwritable(tmp_path)
+    assert main(["verify", "--level", "full", "--json-out", path]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write")
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,7 +20,6 @@ from rowsparse.sampling import (
     BasisSumRows,
     BoundaryRows,
     MatrixRows,
-    ROW_WALK_ENTRIES,
     RowFamily,
     RowResidual,
     RowResidualBatch,
@@ -30,6 +29,7 @@ from rowsparse.sampling import (
     sample_matrix,
     sample_volume,
 )
+from rowsparse.structured import row_vector
 
 DRAWS = 100_000
 SEED = 20240901
@@ -468,18 +468,36 @@ def test_size_equals_successive_calls_on_other_hosts_and_precisions(host, precis
     assert [g.bit_generator.state for g in gens_a] == [g.bit_generator.state for g in gens_b]
 
 
-def test_size_is_checked_and_guarded():
+def test_size_is_checked_and_guarded(monkeypatch):
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):
         sample_volume(BasisSumRows(3, 3), [rng] * 2, "float32")
-    # draws x n^2 entries of Q': 12,000 x 900 = 1.08e7 at (30, 3)
+    # the float guard counts one draw: n^2 = 1.6e7 entries of Q' at (4000, 3) and n k = 2e7
+    # uniforms at (10, 2e6) are refused for a single draw and for a list
     start = time.perf_counter()
-    with pytest.raises(SizeLimitError):
-        sample_volume(cached_family(BasisSumRows, 30, 3), [rng] * 12_000)
-    # draws x n k uniforms: 10 x 2e6 = 2e7 at (10, 200000), though one draw (2e6) is admitted
-    with pytest.raises(SizeLimitError):
-        sample_volume(BasisSumRows(10, 200_000), [rng] * 10)
+    for host in (BasisSumRows(4000, 3), BasisSumRows(10, 2 * 10**6)):
+        for rngs in (rng, [rng] * 2):
+            with pytest.raises(SizeLimitError):
+                sample_volume(host, rngs)
     assert time.perf_counter() - start < 0.5  # refused before anything is allocated
+    # a list past FLOAT_ENTRY_LIMIT // entries per draw (12,000 draws at (30, 3)) used to be
+    # refused; it is walked in slices of at most walk_size() draws. Scaled down to stay
+    # cheap: 50 draws of 100 entries at (10, 3) against a 1,000-entry cap and 20-draw walks
+    monkeypatch.setattr(sampling, "FLOAT_ENTRY_LIMIT", 1000)
+    monkeypatch.setattr(BasisSumRows, "WALK_ENTRIES", 20 * 100)
+    walks = []
+
+    class Recorded(BasisResidualBatch):
+        def __init__(self, family, draws):
+            walks.append(draws)
+            super().__init__(family, draws)
+
+    monkeypatch.setattr(sampling, "BasisResidualBatch", Recorded)
+    fam = BasisSumRows(10, 3)
+    batch, calls, rng_a, rng_b = _batch_and_calls(fam, 4, 50)
+    assert batch == calls
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+    assert fam.walk_size() == 20 and walks == [16, 17, 17]  # even slices
 
 
 class _ScaledStartRows(BasisSumRows):
@@ -666,7 +684,8 @@ def test_generic_list_draws_equal_one_call_per_generator(host, seeds, cap, repea
     # list sizes straddle BATCH_WALK_MIN and a slice cap of `cap` draws
     per_draw = max(host.n_items * host.row_width(), host.ncols**2)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampling, "ROW_WALK_ENTRIES", cap * per_draw)
+        patch.setattr(RowFamily, "WALK_ENTRIES", cap * per_draw)
+        assert host.walk_size() == cap
         if repeat:
             gens_a = [np.random.default_rng(seeds[0])] * len(seeds)
             gens_b = [np.random.default_rng(seeds[0])] * len(seeds)
@@ -702,7 +721,7 @@ def test_row_walk_raises_where_a_call_would(scale):
 
 
 def test_a_long_list_admits_every_host_a_single_draw_admits(monkeypatch):
-    # the float guard counts one draw, and a list walks in slices of at most ROW_WALK_ENTRIES
+    # the float guard counts one draw, and a list walks in slices of at most WALK_ENTRIES
     # entries: 1,001 draws on 5,000 rows of width 2 would be a 1.0e7-entry batch
     walks = []
 
@@ -717,7 +736,8 @@ def test_a_long_list_admits_every_host_a_single_draw_admits(monkeypatch):
     per_draw = 5000 * 2
     batch, calls, _, _ = _list_and_calls(host, range(1001))
     assert batch == calls
-    assert sum(walks) == 1001 and max(walks) * per_draw <= ROW_WALK_ENTRIES
+    assert sum(walks) == 1001 and max(walks) == host.walk_size()
+    assert max(walks) * per_draw <= RowFamily.WALK_ENTRIES
     assert max(walks) - min(walks) <= 1  # even slices
     # a slice cap below BATCH_WALK_MIN draws loops: 3 draws on 40,000 rows
     walks.clear()
@@ -800,6 +820,18 @@ def test_item_index_rejects_unknown_identifiers():
     with pytest.raises(InvalidInputError):
         BasisSumRows(2, 3).item_index((1.5, 1, 1))
     assert BasisSumRows(2, 3).item_index((np.int64(2), 1, 1)) == 4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [BasisSumRows(2, 3).item_index, BasisSumRows(2, 3).item_row, lambda b: row_vector(b, 3)],
+    ids=["item_index", "item_row", "row_vector"],
+)
+def test_a_non_tuple_identifier_is_refused(call):
+    # an int ended in TypeError: object of type 'int' has no len()
+    for bad in (-1, 7, None, 1.5):
+        with pytest.raises(InvalidInputError):
+            call(bad)
 
 
 @pytest.mark.parametrize(
