@@ -15,8 +15,9 @@ from .errors import InvalidInputError, SizeLimitError
 
 # the add table holds |G|^2 indices: about 8 MB at this order
 TABLE_ORDER_LIMIT = 10**3
-# the exact sweep applies every automorphism to every composition of n (type_orbits), so
-# |Aut| is the per-composition cost this caps; above it the identity alone acts
+# the exact sweep's orbit walk (moments.type_orbits) applies automorphisms to a composition
+# of n until one maps it to a larger one, and all of them to each orbit representative, so
+# |Aut| bounds its per-composition cost; above the cap the identity alone acts
 AUTOMORPHISM_LIMIT = 10**4
 # factors kept of the Cohen-Lenstra product prod (1 - p^-i); the rest change it by < 2 p^-64
 CL_TRUNCATION = 64

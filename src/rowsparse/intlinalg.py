@@ -4,21 +4,46 @@ Everything here is dense and meant for matrices of modest size; arbitrary
 precision is the point, asymptotics are not.
 """
 
+import operator
 from fractions import Fraction
 
 from .errors import InvalidInputError
 
 
 def int_det(rows):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix (numpy integers included).
+
+    A ragged matrix, or an entry that is not an integer, raises InvalidInputError.
+    """
     n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise InvalidInputError("matrix is not square")
-    if n == 0:
-        return 1
-    a = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
+    a = []
+    for i, r in enumerate(rows):
+        if len(r) != n:
+            raise InvalidInputError("matrix is not square")
+        try:
+            a.append(list(map(operator.index, r)))
+        except TypeError:
+            raise InvalidInputError(f"row {i} holds an entry that is not an integer") from None
+    return _det(a)
+
+
+def _det(a):
+    """Determinant of a square list of rows of Python ints, which it overwrites.
+
+    Cofactor expansion up to 3x3; above that fraction-free Bareiss elimination in place
+    (an index loop over each row's trailing entries, measured faster here than building
+    each updated row anew).
+    """
+    n = len(a)
+    if n <= 3:
+        if n == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+            return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        if n == 2:
+            (a0, a1), (b0, b1) = a
+            return a0 * b1 - a1 * b0
+        return a[0][0] if n else 1
+    sign = prev = 1
     for t in range(n - 1):
         if a[t][t] == 0:
             for i in range(t + 1, n):
@@ -28,14 +53,13 @@ def int_det(rows):
                     break
             else:
                 return 0
-        piv = a[t][t]
+        row_t = a[t]
+        piv = row_t[t]
         for i in range(t + 1, n):
             row_i = a[i]
-            row_t = a[t]
             f = row_i[t]
             for j in range(t + 1, n):
                 row_i[j] = (piv * row_i[j] - f * row_t[j]) // prev
-            row_i[t] = 0
         prev = piv
     return sign * a[n - 1][n - 1]
 

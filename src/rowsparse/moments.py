@@ -30,10 +30,23 @@ import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
 from .groups import AUTOMORPHISM_LIMIT, FiniteAbelianGroup, aut_order, automorphisms
-from .intlinalg import int_det
+from .intlinalg import _det
 
 TYPE_VECTOR_LIMIT = 10**7
+# the shared denominator k n^((k-1) n) has about (k-1) n log2(n) bits, and a type's numerator
+# as many; at 2^26 bits (8 MB each) forming the power took 22 s and multiplying two such
+# integers 67 s on a 2-vCPU VM, so larger (n, k) are refused before they allocate
+DENOMINATOR_BITS_LIMIT = 2**26
 BRUTEFORCE_LIMIT = 10**7
+
+
+def _check_sizes(n, k):
+    """Refuse an (n, k) whose denominator k n^((k-1) n) would exceed the bit cap, before
+    any power is formed."""
+    if (k - 1) * n * n.bit_length() > DENOMINATOR_BITS_LIMIT:
+        raise SizeLimitError(
+            f"k n^((k-1) n) at n={n}, k={k} exceeds {DENOMINATOR_BITS_LIMIT} bits"
+        )
 
 
 @dataclass(frozen=True)
@@ -48,12 +61,13 @@ class TypeVector:
         g = self.group.order
         if len(self.counts) != g:
             raise InvalidInputError(f"need {g} counts, got {len(self.counts)}")
-        if any(c < 0 for c in self.counts):
+        if min(self.counts) < 0:
             raise InvalidInputError("counts must be nonnegative")
         if self.k < 3:
             raise InvalidInputError("row weight must be >= 3")
         if self.n < 1:
             raise InvalidInputError("need a nonempty tuple")
+        _check_sizes(self.n, self.k)
 
     @property
     def n(self):
@@ -65,17 +79,27 @@ class TypeVector:
         return self.k * self.n ** ((self.k - 1) * self.n)
 
 
+def _getter(indices):
+    """operator.itemgetter of the indices, returning a tuple also for one index."""
+    return operator.itemgetter(*indices) if len(indices) > 1 else tuple
+
+
+@lru_cache(maxsize=64)
+def _table_getters(G):
+    """Getters of G's negation and of each row of its add table: neg(s)[a] = s[-a] and
+    add[a](s)[b] = s[a + b]."""
+    add, neg, _ = G.tables()
+    return _getter(neg), tuple(map(_getter, add))
+
+
 def _conv_arrays(tv, upto):
-    """n(ell)_a for ell = 1..upto, as lists indexed like G.elements."""
-    g = tv.group.order
-    add, neg, _ = tv.group.tables()
+    """n(ell)_a for ell = 1..upto, as sequences indexed like G.elements."""
+    neg, add = _table_getters(tv.group)
     counts = tv.counts
-    tables = [None, [counts[neg[a]] for a in range(g)]]
+    tables = [None, neg(counts)]
     for _ in range(2, upto + 1):
         prev = tables[-1]
-        tables.append(
-            [sum(counts[b] * prev[add[a][b]] for b in range(g)) for a in range(g)]
-        )
+        tables.append([sum(map(operator.mul, counts, row(prev))) for row in add])
     return tables
 
 
@@ -84,23 +108,26 @@ def _scaled_factor(tv, sup, conv):
     k, counts = tv.k, tv.counts
     add = tv.group.tables()[0]
     nk2, nk1 = conv[k - 2], conv[k - 1]
-    return [
-        [(k - 1) * counts[a] * nk2[add[a][b]] + (nk1[a] if a == b else 0) for b in sup]
-        for a in sup
-    ]
+    rows = []
+    for i, a in enumerate(sup):
+        factor, shift = (k - 1) * counts[a], add[a]
+        row = [factor * nk2[shift[b]] for b in sup]
+        row[i] += nk1[a]
+        rows.append(row)
+    return rows
 
 
 def _annihilation_numerator(tv):
     """det(D C) * prod_a w(a)^(n_a - 1), the integer P(A q = 0) * tv.denominator."""
-    k = tv.k
+    k, counts = tv.k, tv.counts
     tables = _conv_arrays(tv, k - 1)
     nk1 = tables[k - 1]
-    sup = [i for i, c in enumerate(tv.counts) if c > 0]
-    if any(nk1[a] == 0 for a in sup):
-        return 0  # a whole row of D C vanishes, so det(D C) = 0
-    num = int_det(_scaled_factor(tv, sup, tables))
-    for a in sup:
-        num *= nk1[a] ** (tv.counts[a] - 1)
+    sup = [i for i, c in enumerate(counts) if c]
+    # nk1[a] = 0 for some a in sup makes row a of D C vanish, so det(D C) = 0 covers it
+    num = _det(_scaled_factor(tv, sup, tables))
+    if num:
+        for a in sup:
+            num *= nk1[a] ** (counts[a] - 1)
     return num
 
 
@@ -117,8 +144,12 @@ def _factorials(n):
 
 def expected_annihilated_exact(tv):
     """E(number of annihilated tuples of this type) * tv.denominator: multinomial * numerator."""
-    fact = _factorials(tv.n)
-    mult = fact[tv.n] // math.prod(fact[c] for c in tv.counts)
+    n = tv.n
+    fact = _factorials(n)
+    mult = fact[n]
+    for c in tv.counts:
+        if c > 1:
+            mult //= fact[c]
     return mult * _annihilation_numerator(tv)
 
 
@@ -126,25 +157,42 @@ def _generates(G, support_indices):
     return len(G.generated(support_indices)) == G.order
 
 
+def _compositions(n, g):
+    """Compositions of n into g parts, in lexicographic order."""
+    if g == 1:
+        yield (n,)
+        return
+    prefixes = iter([((), n)])  # (first g - 2 parts, what is left for the last two), lazily
+    for _ in range(g - 2):
+        prefixes = ((p + (c,), left - c) for p, left in prefixes for c in range(left + 1))
+    for p, left in prefixes:
+        yield from [p + (c, left - c) for c in range(left + 1)]
+
+
 def type_orbits(G, n):
     """(type, orbit size) for the lexicographically largest type of each Aut(G)-orbit
-    of compositions of n; the orbit has |Aut| / |Stab| members. Above
-    AUTOMORPHISM_LIMIT the identity alone acts."""
+    of compositions of n, in lexicographic order; the orbit has |Aut| / |Stab| members.
+    Above AUTOMORPHISM_LIMIT the identity alone acts."""
     g = G.order
-    auts = automorphisms(G) if aut_order(G) <= AUTOMORPHISM_LIMIT else (tuple(range(g)),)
-    # one getter per automorphism; order 1 gets tuple, as itemgetter(0) yields a scalar
-    getters = [operator.itemgetter(*p) for p in auts] if g > 1 else [tuple]
-    for bars in itertools.combinations(range(n + g - 1), g - 1):  # stars and bars
-        counts = tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (n + g - 1,)))
-        images = [get(counts) for get in getters]
-        if max(images) == counts:  # the identity is among them, so no image is larger
-            yield counts, len(auts) // images.count(counts)
+    identity = tuple(range(g))
+    auts = automorphisms(G) if aut_order(G) <= AUTOMORPHISM_LIMIT else (identity,)
+    getters = [operator.itemgetter(*p) for p in auts if p != identity]
+    for counts in _compositions(n, g):
+        stab = 1
+        for get in getters:
+            image = get(counts)
+            if image > counts:
+                break
+            stab += image == counts
+        else:
+            yield counts, len(auts) // stab
 
 
 def surjection_moment_exact(G, n, k):
     """E(#Sur(cok(A), G)) as an exact rational, summed over Aut(G)-orbits of types."""
     if n < 1 or k < 3:
         raise InvalidInputError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
+    _check_sizes(n, k)
     g = G.order
     if math.comb(n + g - 1, g - 1) > TYPE_VECTOR_LIMIT:
         raise SizeLimitError("too many type vectors for the exact sweep")
@@ -166,6 +214,7 @@ def surjection_moment_bruteforce(G, n, k):
     """Same moment by enumerating every generating tuple q in G^n individually."""
     if n < 1 or k < 3:
         raise InvalidInputError(f"need n >= 1 and k >= 3, got n={n}, k={k}")
+    _check_sizes(n, k)
     g = G.order
     if g**n > BRUTEFORCE_LIMIT:
         raise SizeLimitError("G^n too large for brute force")

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rowsparse import moments
-from rowsparse.errors import InvalidInputError
+from rowsparse.errors import InvalidInputError, SizeLimitError
 from rowsparse.groups import FiniteAbelianGroup
 from rowsparse.intlinalg import int_det
 from rowsparse.moments import (
@@ -214,6 +214,9 @@ def test_expected_annihilated_multinomial():
 def test_moment_trivial_group():
     assert surjection_moment_exact(FiniteAbelianGroup(()), 5, 3) == 1
     assert surjection_moment_bruteforce(FiniteAbelianGroup(()), 5, 3) == 1
+    # every tuple of the trivial group is annihilated; its one-element tables read as tuples
+    for n, k in ((5, 3), (4, 5)):
+        assert annihilation_probability(TypeVector(FiniteAbelianGroup(()), (n,), k)) == 1
 
 
 @pytest.mark.parametrize("G", [Z2, Z3, V4])
@@ -298,6 +301,21 @@ def test_sweep_pinned_beyond_bruteforce(divisors, n):
     assert surjection_moment_exact(FiniteAbelianGroup(divisors), n, 3) == PINNED_SWEEPS[divisors, n]
 
 
+# k = 3 sweeps over groups whose orbit walk stops most compositions early (|Aut| = 168 and
+# 48), as the sweep that applied every automorphism to every composition gave them;
+# |G|^n = 8^8 and 9^8 are beyond brute force
+PINNED_ORBIT_SWEEPS = {
+    ((2, 2, 2), 8): Fraction(6008046345, 268435456),
+    ((3, 3), 8): Fraction(49401871201683, 2199023255552),
+}
+
+
+@pytest.mark.parametrize("divisors, n", list(PINNED_ORBIT_SWEEPS))
+def test_sweep_pinned_on_groups_with_many_automorphisms(divisors, n):
+    value = surjection_moment_exact(FiniteAbelianGroup(divisors), n, 3)
+    assert value == PINNED_ORBIT_SWEEPS[divisors, n]
+
+
 def test_sweep_builds_one_fraction(monkeypatch):
     # the orbit weights are integers over one denominator, so no per-orbit reduction
     made = []
@@ -320,6 +338,20 @@ def test_sweep_builds_one_fraction(monkeypatch):
 def test_moment_rejects_invalid_input(moment, G, n, k):
     with pytest.raises(InvalidInputError):
         moment(G, n, k)
+
+
+def test_denominator_bits_guard():
+    # (k - 1) n bitlen(n) = 32 (k - 1): about 2^27 bits here, twice the cap, so a missing
+    # guard would start forming 16 MB powers instead of refusing at once
+    k = 2**22 + 1
+    for moment in (surjection_moment_exact, surjection_moment_bruteforce):
+        with pytest.raises(SizeLimitError, match="bits"):
+            moment(Z2, 8, k)
+    with pytest.raises(SizeLimitError, match="bits"):
+        TypeVector(Z2, (4, 4), k)
+    # the cap itself is admitted: a type vector forms no power when it is built
+    assert 32 * 2**21 == moments.DENOMINATOR_BITS_LIMIT
+    TypeVector(Z2, (4, 4), 2**21 + 1)
 
 
 def test_curvature_matrix_determinant():
