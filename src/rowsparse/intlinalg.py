@@ -30,9 +30,9 @@ def int_det(rows):
 def _det(a):
     """Determinant of a square list of rows of Python ints, which it overwrites.
 
-    Cofactor expansion up to 3x3; above that fraction-free Bareiss elimination in place
-    (an index loop over each row's trailing entries, measured faster here than building
-    each updated row anew).
+    Cofactor expansion up to 3x3; above that fraction-free Bareiss elimination, updated
+    in place by an index loop, which timed faster from 4x4 to 60x60 than a zip-based
+    update that builds each row anew.
     """
     n = len(a)
     if n <= 3:

@@ -41,12 +41,9 @@ BRUTEFORCE_LIMIT = 10**7
 
 
 def _check_sizes(n, k):
-    """Refuse an (n, k) whose denominator k n^((k-1) n) would exceed the bit cap, before
-    any power is formed."""
+    """Refuse an (n, k) whose shared denominator passes the bit cap, before any power."""
     if (k - 1) * n * n.bit_length() > DENOMINATOR_BITS_LIMIT:
-        raise SizeLimitError(
-            f"k n^((k-1) n) at n={n}, k={k} exceeds {DENOMINATOR_BITS_LIMIT} bits"
-        )
+        raise SizeLimitError(f"k n^((k-1) n) at n={n}, k={k} exceeds {DENOMINATOR_BITS_LIMIT} bits")
 
 
 @dataclass(frozen=True)
