@@ -81,7 +81,7 @@ def mc_corank_tail(n, k, r, trials, rng=None, precision="float64"):
     for start in range(0, trials, walk):
         for subset in sampling.sample_volume(family, [rng] * min(walk, trials - start), precision):
             # the F_2 corank as run_trial reads it, off the cokernel of the square draw
-            if cokernel([family.item_row(b) for b in subset], n).dim_mod(2) >= r:
+            if cokernel(family.subset_matrix(subset)).dim_mod(2) >= r:
                 hits += 1
     est = hits / trials
     return est, math.sqrt(est * (1.0 - est) / trials)

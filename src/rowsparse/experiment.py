@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -156,8 +156,7 @@ def run_trial(cfg, trial_id, subset=None):
     family = _trial_family(cfg)
     if subset is None:
         subset = sample_volume(family, _trial_rng(cfg, trial_id), cfg.precision)
-    mat = [family.item_row(ident) for ident in subset]
-    cok = cokernel(mat, family.ncols)
+    cok = cokernel(family.subset_matrix(subset))
     syl = {}
     for p in cfg.primes:
         s = sylow(cok, p)
@@ -171,7 +170,7 @@ def run_trial(cfg, trial_id, subset=None):
         free_rank=cok.free_rank,
         divisors=cok.divisors,
         sylow=syl,
-        f2_corank=family.ncols - len(mat) + cok.dim_mod(2),
+        f2_corank=family.ncols - len(subset) + cok.dim_mod(2),
     )
 
 
@@ -254,6 +253,15 @@ def wilson_interval(successes, total):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+@lru_cache(maxsize=32)
+def _cl_table(p, cap):
+    """(label, partition, Cohen-Lenstra weight) of each p-group of order <= cap, built once."""
+    return tuple(
+        (G.label(), G.primary_partitions().get(p, ()), cl_probability(G, p))
+        for G in p_groups_up_to(p, cap)
+    )
+
+
 def report_tv(records, p, cap):
     """Empirical p-Sylow distribution vs the Cohen-Lenstra weights, capped.
 
@@ -282,14 +290,12 @@ def report_tv(records, p, cap):
             other += 1
     entries = []
     tv = 0.0
-    for G in p_groups_up_to(p, cap):
-        part = G.primary_partitions().get(p, ())
+    for label, part, ref in _cl_table(p, cap):
         c = counts.get(part, 0)
-        ref = cl_probability(G, p)
         lo, hi = wilson_interval(c, total)
         entries.append(
             {
-                "group": G.label(),
+                "group": label,
                 "partition": list(part),
                 "count": c,
                 "freq": c / total,
@@ -320,7 +326,9 @@ def report_moment(records, G):
     """
     if not records:
         raise InvalidInputError("no records")
-    vals = [sur_count_cokernel(rec.divisors, rec.free_rank, G) for rec in records]
+    keys = [(tuple(rec.divisors), rec.free_rank) for rec in records]
+    counts = {key: sur_count_cokernel(*key, G) for key in set(keys)}  # one per distinct cokernel
+    vals = [counts[key] for key in keys]
     mean = sum(vals) / len(vals)
     if len(vals) < 2:
         return mean, None

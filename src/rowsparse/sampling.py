@@ -153,6 +153,19 @@ class RowFamily:
         """The sparse row of the item named ident."""
         return self.sparse_row(self.item_index(ident))
 
+    def subset_matrix(self, subset):
+        """The len(subset) x ncols int64 matrix of the items named in subset, in order.
+
+        Each identifier is checked by `item_index`; the rows' nonzero entries are
+        then scattered from the padded sparse arrays in one step.
+        """
+        index = np.array([self.item_index(ident) for ident in subset], dtype=np.int64)
+        coords, vals = self._sparse_arrays()[0][:, index], self._int_vals()[:, index]
+        mat = np.zeros((len(index), self.ncols), dtype=np.int64)
+        held = vals != 0  # padded slots hold (column 0, value 0)
+        mat.put((coords + np.arange(len(index)) * self.ncols)[held], vals[held])
+        return mat
+
     def sparse_rows(self):
         """Every row's sparse form, built once per host and kept."""
         if not hasattr(self, "_sparse_rows"):
@@ -203,6 +216,15 @@ class RowFamily:
             self._coords = coords
             self._vals = vals
         return self._coords, self._vals
+
+    def _int_vals(self):
+        """The entries of `_sparse_arrays()` as int64, built once per host."""
+        if not hasattr(self, "_ivals"):
+            vals = self._sparse_arrays()[1]
+            if np.abs(vals).max(initial=0.0) >= 2.0**53:  # float64 holds every int below
+                raise SizeLimitError("a host entry is too large to read back exactly from float64")
+            self._ivals = vals.astype(np.int64)
+        return self._ivals
 
     def _gram_inv_float(self):
         if not hasattr(self, "_winv"):
@@ -426,6 +448,25 @@ class BasisSumRows(RowFamily):
             counts[x - 1] = counts.get(x - 1, 0) + 1
         return tuple(sorted(counts.items()))
 
+    def subset_matrix(self, subset):
+        """The len(subset) x n int64 count matrix of the tuples in subset, in order.
+
+        A subset numpy reads as an (m, k) integer array over [1, n] is checked once
+        and counted by one bincount; any other subset is checked tuple by tuple,
+        and a malformed tuple raises the InvalidInputError of `item_row`.
+        """
+        n, k = self.n, self.k
+        try:
+            ids = np.asarray(subset)
+        except (TypeError, ValueError):  # a ragged subset
+            ids = None
+        if not (ids is not None and ids.ndim == 2 and ids.shape[1] == k
+                and ids.dtype.kind in "iu" and ids.min(initial=1) >= 1 and ids.max(initial=n) <= n):
+            ids = np.array([self._checked(b) for b in subset], dtype=np.int64).reshape(-1, k)
+        m = len(ids)
+        flat = np.arange(m)[:, None] * n + (ids.astype(np.int64, copy=False) - 1)
+        return np.bincount(flat.ravel(), minlength=m * n).reshape(m, n).astype(np.int64, copy=False)
+
     def sparse_row(self, i):
         return self.item_row(self.item(i))
 
@@ -595,34 +636,42 @@ class BasisResidualBatch:
         n, k = self.n, self.k
         diag, q1, q = self.diag, self.q1, self.q
         draws = len(q)
-        rows = np.arange(draws)
+        rows = np.arange(draws) * n  # flat offsets: draw i's entry a is [i n + a] of (draws, n)
+        qrows = q.reshape(draws * n, n)  # Q' as draws n rows; row i n + a is row a of draw i
         qx = np.zeros((draws, n))
         xqx = np.zeros(draws)
         oqx = np.zeros(draws)
-        counts = np.zeros((draws, n), dtype=np.int64)
-        sq = np.zeros(draws, dtype=np.int64)  # x^T x, grown as in BasisResidual.walk
+        weights = np.empty((draws, n))
+        scaled = np.empty((draws, n))
+        cum = np.empty((draws, n))
         slots = np.empty((draws, k), dtype=np.int64)
         for s in range(k):
             u = k - 1 - s
             f = 2.0 * u / n
             c = xqx + f * oqx + (u / n) * self.trace + (u * (u - 1) / (n * n)) * self.ones
-            weights = ((c[:, None] + 2.0 * qx) + diag) + f * q1
-            weights = np.where(weights > 0.0, weights, 0.0)
-            cum = np.cumsum(weights, axis=1)
+            # ((c + 2 qx) + diag) + f q1, as the per-call walk associates it
+            np.multiply(qx, 2.0, out=weights)
+            np.add(c[:, None], weights, out=weights)
+            weights += diag
+            weights += np.multiply(q1, f, out=scaled)
+            np.fmax(weights, 0.0, out=weights)  # a NaN weight reads 0, as a negative one does
+            np.cumsum(weights, axis=1, out=cum)
             total = cum[:, -1]
-            if (total <= 0.0).any():
+            if total.min() <= 0.0:
                 raise DegenerateHostError("residual mass vanished before a full subset was chosen")
             # bisect_right: the count of cumulative weights at or below the target
             a = (cum <= (uniforms[:, s] * total)[:, None]).sum(axis=1)
-            top = a == n
-            if top.any():  # as _choose_slot: the last positive slot
+            if a.max() == n:  # as _choose_slot: the last positive slot
+                top = a == n
                 a[top] = n - 1 - np.argmax(weights[top, ::-1] > 0.0, axis=1)
-            xqx = xqx + (2.0 * qx[rows, a] + diag[rows, a])
-            oqx = oqx + q1[rows, a]
-            qx = qx + q[rows, a]
-            sq += 2 * counts[rows, a] + 1
-            counts[rows, a] += 1
+            at = rows + a
+            xqx = xqx + (2.0 * qx.take(at) + diag.take(at))
+            oqx = oqx + q1.take(at)
+            qx = qx + qrows.take(at, axis=0)
             slots[:, s] = a
+        # x^T x = sum of squared slot counts, counted once from the slots
+        counts = np.bincount((rows[:, None] + slots).ravel(), minlength=draws * n)
+        sq = (counts * counts).reshape(draws, n).sum(axis=1)
         leverage = sq - self.leverage_shift  # beta K(x, x)
         bad = np.flatnonzero(~(xqx > RESIDUAL_TOLERANCE * leverage))  # also NaN
         if len(bad):  # raise as the first such draw's own pick does
@@ -867,4 +916,4 @@ def sample_hypertree(n, rng=None, precision="float64"):
         raise InvalidInputError("need n >= 4 for 2-dimensional hypertrees")
     family = cached_family(BoundaryRows, n, 2)
     subset = sample_volume(family, rng, precision)
-    return subset, [family.dense_row(family.item_index(f)) for f in subset]
+    return subset, family.subset_matrix(subset).tolist()

@@ -8,9 +8,10 @@
   worklist of the rows and columns that start as or become singletons, at
   no search cost. Only when the worklist runs dry does one pass over the
   live rows pick the next pivot: the +-1 of the shortest row that holds
-  one, in the shortest of its columns. The elementary divisors do not
-  depend on the pivot order; the sampled matrices are row-sparse, so this
-  phase removes nearly every row.
+  one, in the shortest of its columns. The pass stops at the first row of
+  two entries that holds one, since no row of one +-1 is left by then. The
+  elementary divisors do not depend on the pivot order; the sampled
+  matrices are row-sparse, so this phase removes nearly every row.
 - Core phase. The rows and columns that still hold a nonzero entry form a
   dense core with no unit entry. `_diagonalize` reduces it by
   minimum-absolute-value pivoting with full row and column reduction. A
@@ -19,9 +20,11 @@
   a heavy tail (one (100, 10) cokernel took 45 s with it, 0.07 s mod D), so
   a singular or non-square core past PLAIN_CORE_LIMIT raises SizeLimitError.
 
-Rows come dense or, with `ncols`, as (column, entry) pairs. The integer rank
-is the number of unit pivots plus the core's nonzero diagonal entries, and
-the mod-p rank is read off the elementary divisors (`CokernelClass.dim_mod`).
+Rows come dense, as one 2-D integer ndarray, or, with `ncols`, as (column,
+entry) pairs. An integer array is checked once, not entry by entry: its
+nonzero entries are read off as Python ints. The integer rank is the number
+of unit pivots plus the core's nonzero diagonal entries, and the mod-p rank
+is read off the elementary divisors (`CokernelClass.dim_mod`).
 """
 
 import math
@@ -29,9 +32,11 @@ import operator
 from dataclasses import dataclass
 from itertools import compress
 
+import numpy as np
+
 from .errors import InvalidInputError, SizeLimitError
 from .groups import is_prime
-from .intlinalg import int_det
+from .intlinalg import _det
 
 # A core with no modulus (singular or non-square) runs the plain loop, whose entry growth
 # has a heavy tail: on singular cores of sampled n = 100 matrices it took at most 0.4 s up
@@ -167,9 +172,21 @@ def _diagonalize(mat, modulus=0):
 def _sparse_rows(mat, ncols=None):
     """Rows of an integer matrix as {row index: {column: entry}}, plus its column count.
 
-    mat is dense or, when ncols is given, a list of rows of (column, entry) pairs.
+    mat is dense, a 2-D integer ndarray, or, when ncols is given, a list of rows of
+    (column, entry) pairs. An integer array needs no per-entry check: its nonzero
+    entries are read as Python ints, so no later product can overflow.
     """
     rows = {}
+    if isinstance(mat, np.ndarray) and ncols is None:
+        if mat.ndim != 2:
+            raise InvalidInputError(f"a matrix array must be 2-D, got {mat.ndim}-D")
+        if mat.dtype.kind in "iu":
+            nonzero = mat != 0
+            r, c = np.nonzero(nonzero)
+            dicts = [{} for _ in range(mat.shape[0])]
+            for i, j, v in zip(r.tolist(), c.tolist(), mat[nonzero].tolist()):
+                dicts[i][j] = v
+            return dict(enumerate(dicts)), mat.shape[1]
     if ncols is None:
         ncols = len(mat[0]) if len(mat) else 0
         for i, row in enumerate(mat):
@@ -198,15 +215,23 @@ def _unit_pivot(live, cols):
     """The +-1 of the shortest live row holding one, as (row, column), or None.
 
     Within that row the +-1 of the shortest column is taken. Ties go to the
-    first such row, then to the first such entry in it.
+    first such row, then to the first such entry in it. The scan stops at the
+    first row of two entries that holds a +-1: a live row of one +-1 is on the
+    worklist, so `_free_pivot` takes it before any scan, and no shorter row can win.
     """
     best, shortest = None, math.inf
     for i, row in live.items():
-        if len(row) < shortest:
-            units = [j for j, v in row.items() if v == 1 or v == -1]
-            if units:
-                best, shortest = (i, min(units, key=lambda j: len(cols[j]))), len(row)
-    return best
+        size = len(row)
+        if size < shortest:
+            values = row.values()
+            if 1 in values or -1 in values:
+                best, shortest = i, size
+                if size == 2:
+                    break
+    if best is None:
+        return None
+    units = [j for j, v in live[best].items() if v == 1 or v == -1]
+    return best, units[0] if len(units) == 1 else min(units, key=lambda j: len(cols[j]))
 
 
 def _free_pivot(live, cols, todo):
@@ -245,8 +270,9 @@ def _eliminate_unit_pivots(live, ncols):
         for j in prow:
             cols[j].discard(pi)
             if len(cols[j]) == 1:
-                todo.append((*cols[j], j))
-        for i in cols[pj] - {pi}:
+                todo.append((next(iter(cols[j])), j))
+        cols[pj].discard(pi)
+        for i in cols[pj]:
             row = live[i]
             f = row.pop(pj) * unit
             for j, v in prow.items():
@@ -259,9 +285,9 @@ def _eliminate_unit_pivots(live, ncols):
                     del row[j]
                     cols[j].discard(i)
                     if len(cols[j]) == 1:
-                        todo.append((*cols[j], j))
+                        todo.append((next(iter(cols[j])), j))
             if len(row) == 1:
-                todo.append((i, *row))
+                todo.append((i, next(iter(row))))
         cols[pj] = set()
         pivots += 1
     return pivots
@@ -270,18 +296,21 @@ def _eliminate_unit_pivots(live, ncols):
 def cokernel(mat, ncols=None):
     """Cokernel of the column action: Z^rows / A Z^cols.
 
-    mat is a dense integer matrix or, with ncols given, a list of rows of
-    (column, entry) pairs. Entries must be integers (numpy integers
-    included); a ragged or non-integer matrix, or a sparse row that repeats
-    a column or leaves [0, ncols), raises InvalidInputError. A square core
-    with nonzero determinant D is reduced mod D; any other core with more
-    than PLAIN_CORE_LIMIT rows and columns raises SizeLimitError.
+    mat is a dense integer matrix, a 2-D ndarray of integer dtype (signed or
+    unsigned, read exactly as Python ints) or, with ncols given, a list of
+    rows of (column, entry) pairs. Entries must be integers (numpy integers
+    included); a ragged or non-integer matrix, an array that is not 2-D, or
+    a sparse row that repeats a column or leaves [0, ncols), raises
+    InvalidInputError. A square core with nonzero determinant D is reduced
+    mod D; any other core with more than PLAIN_CORE_LIMIT rows and columns
+    raises SizeLimitError.
     """
     rows, ncols = _sparse_rows(mat, ncols)
     pivots = _eliminate_unit_pivots(rows, ncols)
     core_cols = sorted({j for row in rows.values() for j in row})
     core = [[row.get(j, 0) for j in core_cols] for row in rows.values() if row]
-    modulus = abs(int_det(core)) if len(core) == len(core_cols) else 0
+    # the core's entries are the Python ints of the rows above, so its copy needs no check
+    modulus = abs(_det([row[:] for row in core])) if len(core) == len(core_cols) else 0
     if not modulus and min(len(core), len(core_cols)) > PLAIN_CORE_LIMIT:
         raise SizeLimitError(
             f"a singular or non-square {len(core)} x {len(core_cols)} core is over "

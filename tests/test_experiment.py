@@ -159,6 +159,27 @@ def test_f2_corank_is_read_off_the_one_elimination(monkeypatch, model, n, k):
     assert max(coranks) > 0
 
 
+@pytest.mark.parametrize("model,n,k", [("bn_matrix", 12, 3), ("hypertree", 8, None)])
+def test_campaigns_call_the_names_the_benchmark_traces(monkeypatch, model, n, k):
+    # the benchmark times a campaign's layers by wrapping these module attributes of
+    # experiment, so a campaign must keep reaching them there, as often as this
+    calls = {}
+    for name in ("run_trial", "cokernel", "sylow", "sample_volume", "build_report"):
+        def counted(*args, _real=getattr(experiment, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(experiment, name, counted)
+    cfg = ExperimentConfig(n=n, trials=6, seed=3, model=model, k=k)
+    run_campaign(cfg)
+    assert calls == {
+        "run_trial": cfg.trials,
+        "cokernel": cfg.trials,
+        "sylow": cfg.trials * len(cfg.primes),
+        "sample_volume": len(experiment._chunks(cfg)),
+        "build_report": 1,
+    }
+
+
 def test_campaign_parallel_matches_serial(tmp_path):
     cfg = ExperimentConfig(n=4, trials=10, seed=2, k=3)
     serial, _ = run_campaign(cfg)

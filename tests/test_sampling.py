@@ -930,3 +930,72 @@ def test_exact_subset_probability_roundtrip():
     assert _subset_probability(fam, ((1, 1, 1), (2, 2, 2))) == Fraction(3, 16)
     with pytest.raises(InvalidInputError):  # one row of two columns: no square submatrix
         _subset_probability(fam, ((1, 1, 1),))
+
+
+def _stacked_dense_rows(host, subset):
+    return np.array([host.dense_row(host.item_index(b)) for b in subset], dtype=np.int64)
+
+
+@pytest.mark.parametrize("host,draws", [
+    (BasisSumRows(3, 3), 6), (BasisSumRows(12, 5), 4), (BasisSumRows(30, 3), 4),
+    (BasisSumRows(10, 1000), 1), (BoundaryRows(8, 2), 4), (BoundaryRows(16, 2), 2),
+    (MatrixRows(_full_rank_rows(5, 40, 8)), 4),
+], ids=["basis-3-3", "basis-12-5", "basis-30-3", "basis-10-1000", "boundary-8", "boundary-16",
+        "explicit-5x40"])
+def test_subset_matrix_stacks_the_dense_rows(host, draws):
+    for seed in range(draws):
+        subset = sample_volume(host, np.random.default_rng(seed))
+        mat = host.subset_matrix(subset)
+        assert mat.dtype == np.int64 and mat.shape == (len(subset), host.ncols)
+        assert np.array_equal(mat, _stacked_dense_rows(host, subset))
+        # the rows follow the subset's order, not the host's
+        assert np.array_equal(host.subset_matrix(subset[::-1]), mat[::-1])
+
+
+@pytest.mark.parametrize("host,good,bad", [
+    (BasisSumRows(3, 3), (1, 2, 3), (1, 2)),  # ragged
+    (BasisSumRows(3, 3), (1, 2, 3), (1, 2, 3, 1)),  # weight != k, ragged
+    (BasisSumRows(3, 4), (1, 2, 3, 1), (1, 2, 3)),  # weight != k, ragged
+    (BasisSumRows(3, 3), (1, 2, 3), (0, 1, 1)),
+    (BasisSumRows(3, 3), (1, 2, 3), (4, 1, 1)),  # entry n + 1
+    (BasisSumRows(3, 3), (1, 2, 3), (1.0, 1, 1)),
+    (BasisSumRows(3, 3), (1, 2, 3), (1.5, 1, 1)),
+    (BasisSumRows(3, 3), (1, 2, 3), ("1", 1, 1)),
+    (BasisSumRows(3, 3), (1, 2, 3), "abc"),
+    (BasisSumRows(3, 3), (1, 2, 3), 7),
+    (BoundaryRows(5, 2), (1, 2, 3), (1, 2, 6)),  # an unknown face
+    (BoundaryRows(5, 2), (1, 2, 3), (3, 2, 1)),
+    (MatrixRows([[1, 0], [0, 1], [1, 1]]), 0, 3),
+])
+def test_subset_matrix_refuses_what_item_row_refuses(host, good, bad):
+    with pytest.raises(InvalidInputError) as expected:
+        host.item_row(bad)
+    for subset in ([bad], [good, bad], [bad, good]):
+        with pytest.raises(InvalidInputError) as refused:
+            host.subset_matrix(subset)
+        assert str(refused.value) == str(expected.value)
+
+
+def test_subset_matrix_takes_list_identifiers_and_empty_subsets():
+    basis, boundary = BasisSumRows(3, 3), BoundaryRows(5, 2)
+    assert np.array_equal(basis.subset_matrix([[1, 2, 2], (3, 3, 1)]),
+                          [[1, 2, 0], [1, 0, 2]])
+    assert np.array_equal(basis.subset_matrix(np.array([[3, 3, 3]], dtype=np.uint8)), [[0, 0, 3]])
+    assert np.array_equal(boundary.subset_matrix([[1, 2, 3]]), boundary.subset_matrix([(1, 2, 3)]))
+    for host in (basis, boundary, MatrixRows([[1, 0], [0, 1]])):
+        empty = host.subset_matrix([])
+        assert empty.dtype == np.int64 and empty.shape == (0, host.ncols)
+
+
+def test_sample_hypertree_returns_lists_of_python_ints():
+    faces, mat = sample_hypertree(8, np.random.default_rng(2))
+    assert all(type(row) is list and all(type(x) is int for x in row) for row in mat)
+    host = cached_family(BoundaryRows, 8, 2)
+    assert mat == [host.dense_row(host.item_index(f)) for f in faces]
+
+
+def test_subset_matrix_refuses_an_entry_float64_cannot_hold():
+    # the explicit host's padded arrays are float64, exact only below 2^53
+    assert MatrixRows([[2**53 - 1, 1], [0, 1]]).subset_matrix([0]).tolist() == [[2**53 - 1, 1]]
+    with pytest.raises(SizeLimitError):
+        MatrixRows([[2**53, 1], [0, 1]]).subset_matrix([0])

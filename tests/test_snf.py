@@ -380,6 +380,43 @@ def test_numpy_integer_entries_are_accepted():
     assert rank_mod_p(mixed, 3) == (1, 1)
 
 
+ARRAY_DTYPES = {
+    "int8": (np.int8, st.integers(-128, 127)),
+    "int64": (np.int64, st.integers(-9, 9)),
+    "uint8": (np.uint8, st.integers(0, 255)),
+    "int64-huge": (np.int64, st.integers(-2**62, 2**62)),  # products overflow int64
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(sorted(ARRAY_DTYPES)))
+def test_an_integer_array_gives_the_cokernel_of_its_list(data, dtype):
+    kind, entries = ARRAY_DTYPES[dtype]
+    nrows, ncols = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    mat = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    arr = np.array(mat, dtype=kind).reshape(nrows, ncols)
+    assert cokernel(arr) == cokernel(mat)
+
+
+def test_array_matrices_with_no_rows_or_no_columns_match_their_lists():
+    assert cokernel(np.zeros((0, 5), dtype=np.int64)) == cokernel([]) == CokernelClass(0, ())
+    assert cokernel(np.zeros((3, 0), dtype=np.int64)) == cokernel([[], [], []]) == CokernelClass(3, ())
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([[True, False], [False, True]]),
+    np.array([[2.0, 1.0], [1.0, 2.0]]),
+    np.array([[2 + 0j, 1], [1, 2]]),
+    np.array([[2, 1.5], [1, 2]], dtype=object),
+    np.ones((2, 2, 2), dtype=np.int64),
+    np.ones(3, dtype=np.int64),
+], ids=["bool", "float", "complex", "object-float", "3-d", "1-d"])
+def test_non_integer_or_non_matrix_arrays_are_rejected(arr):
+    with pytest.raises(InvalidInputError):
+        cokernel(arr)
+
+
 def test_snf_divisor_chain_and_det():
     rng = random.Random(0)
     for _ in range(60):
